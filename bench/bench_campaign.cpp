@@ -1,6 +1,6 @@
 // bench_campaign — supervised sweep throughput and the price of safety.
 //
-// Claim: the campaign runner turns N models × strategies × backends into
+// Claim: the campaign runner turns N models × strategies × cost models into
 // one crash-tolerant sweep whose robustness machinery (per-job
 // transactions, hash-guarded journal appends, quarantine isolation) costs
 // little next to the jobs themselves, and whose resume path replays a
@@ -46,8 +46,12 @@ campaign::Manifest sweep_manifest(const fs::path& corpus) {
     campaign::Manifest manifest;
     manifest.models = {corpus.string()};
     manifest.strategies = {"generate", "explore"};
-    manifest.backends = {"dynamic-fifo", "analytic"};
+    // Two cost models: the default and a slower GFIFO.
     manifest.cost_models.push_back({});
+    campaign::CostModel slow;
+    slow.name = "slow-gfifo";
+    slow.params.gfifo_cost_per_byte = 40.0;
+    manifest.cost_models.push_back(slow);
     manifest.max_processors = 3;
     manifest.random_samples = 2;
     return manifest;

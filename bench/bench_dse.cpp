@@ -89,8 +89,6 @@ void speedup_section() {
     // Incremental-evaluation proof on the *cold* sweep: these depend only
     // on the candidate set and chunk size, never on jobs or the machine,
     // so they gate as exact determinism counters.
-    bench::row("partial reuse (cold sweep)",
-               serial_result.stats.partial_reuse);
     bench::row("prefix tasks reused (cold sweep)",
                serial_result.stats.prefix_tasks_reused);
     bench::row("sweep chunks (cold)", serial_result.stats.chunks);
@@ -124,49 +122,6 @@ void speedup_section() {
                            : "NO — determinism bug"));
 }
 
-// Backend matrix: the same cold serial sweep priced on every registered
-// simulation backend (sim/backend.hpp). The sdf static-schedule backend
-// must be bitwise identical to dynamic-fifo on these (single-rate, mined
-// from UML) graphs while skipping the partial-cache hashing — so its
-// throughput row should beat the reference; analytic is a bound, checked
-// for ranking sanity only. Cross-backend makespan identity is asserted
-// as a text row so the perf gate fails red on any divergence.
-void backend_section() {
-    uml::Model app = cases::random_application(9, 64, 8);
-    core::CommModel comm = core::analyze_communication(app);
-
-    const char* kBackends[] = {"dynamic-fifo", "analytic", "sdf"};
-    dse::ExploreResult results[3];
-    for (std::size_t b = 0; b < 3; ++b) {
-        dse::ExploreOptions options;
-        options.random_samples = 8;
-        options.jobs = 1;
-        options.backend = kBackends[b];
-        dse::clear_simulation_cache();
-        (void)dse::explore(app, comm, options);  // warm up
-        dse::clear_simulation_cache();
-        double ms = explore_millis(app, comm, options, &results[b]);
-        std::string label(kBackends[b]);
-        bench::row("explore backend=" + label + " (ms)", ms);
-        bench::row("dse simulations backend=" + label + " (/ms)",
-                   static_cast<double>(results[b].stats.simulations) / ms);
-    }
-
-    bool identical = true;
-    for (std::size_t i = 0; i < results[0].candidates.size(); ++i)
-        identical = identical && results[2].candidates[i].makespan ==
-                                     results[0].candidates[i].makespan;
-    bench::row("sdf makespans bitwise == dynamic-fifo",
-               std::string(identical ? "yes" : "NO — backend divergence bug"));
-    bool bounded = true;
-    for (std::size_t i = 0; i < results[0].candidates.size(); ++i)
-        bounded = bounded && results[1].candidates[i].makespan <=
-                                 results[0].candidates[i].makespan;
-    bench::row("analytic is a lower bound",
-               std::string(bounded ? "yes" : "NO — bound violation"));
-    bench::row("sdf effective backend", results[2].stats.effective_backend);
-}
-
 void print_reproduction() {
     bench::banner("DSE — automatic mapping selection (§6 future work)",
                   "sweep allocation strategies × processor budgets, estimate "
@@ -197,7 +152,6 @@ void print_reproduction() {
                simulink::caam_stats(caam).threads);
 
     speedup_section();
-    backend_section();
 }
 
 void BM_ExploreSyntheticSerial(benchmark::State& state) {

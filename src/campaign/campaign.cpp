@@ -121,7 +121,6 @@ JobRun execute_job(const JobSpec& job, const CampaignOptions& options) {
     const Manifest& m = *job.manifest;
     std::vector<ReportRow> rows;
     rows.push_back({"strategy", job.strategy, 0, false});
-    rows.push_back({"backend", job.backend, 0, false});
     rows.push_back({"cost model", job.cost_model.name, 0, false});
     std::vector<std::pair<std::string, std::string>> files;
 
@@ -133,7 +132,6 @@ JobRun execute_job(const JobSpec& job, const CampaignOptions& options) {
         // shard counts never fight the pool (results are identical for
         // any value anyway).
         eopts.jobs = 1;
-        eopts.backend = job.backend;
         eopts.cost_model = job.cost_model.params;
         core::CommModel comm = core::analyze_communication(model);
         dse::ExploreResult result;
@@ -178,7 +176,6 @@ JobRun execute_job(const JobSpec& job, const CampaignOptions& options) {
         gopts.iterations = m.iterations;
         gopts.with_kpn = m.with_kpn;
         gopts.gen_jobs = options.gen_jobs;
-        gopts.sim_backend = job.backend;
         gopts.resilience.retry = options.retry;
         gopts.resilience.pass_budget.wall_ms = options.pass_budget_ms;
         flow::GenerateResult result;
@@ -231,7 +228,7 @@ JobRun execute_job(const JobSpec& job, const CampaignOptions& options) {
     std::string report = render_report(
         job.dir,
         "campaign job: " + job.strategy + " on " + job.model_name +
-            " via " + job.backend + " / " + job.cost_model.name,
+            " via " + job.cost_model.name,
         rows);
 
     // Everything or nothing: the job directory appears only complete.
@@ -282,7 +279,7 @@ std::string row_text(const obs::json::Value& report, std::string_view label) {
     return v && v->is_string() ? v->string : std::string();
 }
 
-/// One (processors, makespan) point of the cross-backend Pareto table.
+/// One (processors, makespan) point of the cross-cost-model Pareto table.
 struct ParetoPoint {
     std::size_t processors = 0;
     double makespan = 0.0;
@@ -441,7 +438,6 @@ CampaignResult run_campaign(const Manifest& manifest,
         report << "    {\"dir\": \"" << diag::json_escape(entry.dir)
                << "\", \"model\": \"" << diag::json_escape(job.model_name)
                << "\", \"strategy\": \"" << diag::json_escape(job.strategy)
-               << "\", \"backend\": \"" << diag::json_escape(job.backend)
                << "\", \"cost_model\": \""
                << diag::json_escape(job.cost_model.name) << "\", \"status\": \""
                << diag::json_escape(entry.status) << "\"";
@@ -469,7 +465,7 @@ CampaignResult run_campaign(const Manifest& manifest,
     }
     report << "  ],\n  \"pareto\": [\n";
 
-    // Cross-(backend × cost-model) Pareto per model, over the explore
+    // Cross-cost-model Pareto per model, over the explore
     // jobs' recommended candidates: a point survives when no other point
     // has <= processors and < makespan.
     std::vector<std::string> model_order;
@@ -540,7 +536,6 @@ CampaignResult run_campaign(const Manifest& manifest,
            << "\", \"dir\": \"" << diag::json_escape(entry.dir)
            << "\", \"model\": \"" << diag::json_escape(job.model_name)
            << "\", \"strategy\": \"" << diag::json_escape(job.strategy)
-           << "\", \"backend\": \"" << diag::json_escape(job.backend)
            << "\", \"cost_model\": \""
            << diag::json_escape(job.cost_model.name) << "\", \"status\": \""
            << diag::json_escape(entry.status) << "\"";

@@ -4,13 +4,14 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "flow/checkpoint.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
-#include "sim/backend.hpp"
 
 namespace uhcg::campaign {
 
@@ -102,6 +103,20 @@ Manifest parse_manifest(const std::string& text,
                        "schema must be \"uhcg-campaign-v1\"");
         return manifest;
     }
+    // Unknown top-level keys are errors, like unknown nested fields: a
+    // typo ("strategy") or a retired axis must not silently change the
+    // sweep.
+    for (const auto& [key, value] : doc.object) {
+        static constexpr std::string_view kKnown[] = {
+            "schema",      "models",  "strategies",
+            "cost_models", "explore", "generate"};
+        if (std::find(std::begin(kKnown), std::end(kKnown), key) ==
+            std::end(kKnown)) {
+            manifest_error(engine, origin,
+                           "unknown manifest key '" + key + "'");
+            return manifest;
+        }
+    }
 
     const obs::json::Value* models = doc.find("models");
     if (!models || !string_list(*models, manifest.models) ||
@@ -126,21 +141,6 @@ Manifest parse_manifest(const std::string& text,
     }
     if (manifest.strategies.empty())
         manifest.strategies = {"generate", "explore"};
-
-    if (const obs::json::Value* backends = doc.find("backends")) {
-        if (!string_list(*backends, manifest.backends)) {
-            manifest_error(engine, origin, "\"backends\" must be strings");
-            return manifest;
-        }
-        for (const std::string& b : manifest.backends)
-            if (!sim::BackendRegistry::builtins().find(b)) {
-                manifest_error(engine, origin,
-                               "unknown simulation backend '" + b + "'");
-                return manifest;
-            }
-    }
-    if (manifest.backends.empty())
-        manifest.backends = {std::string(sim::kDefaultBackend)};
 
     if (const obs::json::Value* cms = doc.find("cost_models")) {
         if (!cms->is_array()) {
@@ -285,32 +285,26 @@ std::vector<JobSpec> expand(const Manifest& manifest,
             std::istreambuf_iterator<char>());
         std::string stem = sanitize(fs::path(path).stem().string());
         for (const std::string& strategy : manifest.strategies)
-            for (std::size_t ci = 0; ci < manifest.cost_models.size(); ++ci)
-                for (const std::string& backend : manifest.backends) {
-                    const CostModel& cm = manifest.cost_models[ci];
-                    std::uint64_t hash =
-                        flow::CheckpointStore::fnv1a(*bytes);
-                    hash = flow::CheckpointStore::fnv1a(stem, hash);
-                    hash = flow::CheckpointStore::fnv1a(strategy, hash);
-                    hash = flow::CheckpointStore::fnv1a(backend, hash);
-                    hash = flow::CheckpointStore::fnv1a(cm.name, hash);
-                    hash = flow::CheckpointStore::fnv1a(
-                        hex16(cost_model_fingerprint(cm.params)), hash);
-                    hash = flow::CheckpointStore::fnv1a(options_canon, hash);
-                    JobSpec job;
-                    job.id = hex16(hash);
-                    job.dir = stem + "__" + strategy + "__" +
-                              sanitize(backend) + "__" + cm.name + "__" +
-                              job.id.substr(0, 8);
-                    job.model_path = path;
-                    job.model_name = stem;
-                    job.strategy = strategy;
-                    job.backend = backend;
-                    job.cost_model = cm;
-                    job.model_bytes = bytes;
-                    job.manifest = &manifest;
-                    jobs.push_back(std::move(job));
-                }
+            for (const CostModel& cm : manifest.cost_models) {
+                std::uint64_t hash = flow::CheckpointStore::fnv1a(*bytes);
+                hash = flow::CheckpointStore::fnv1a(stem, hash);
+                hash = flow::CheckpointStore::fnv1a(strategy, hash);
+                hash = flow::CheckpointStore::fnv1a(cm.name, hash);
+                hash = flow::CheckpointStore::fnv1a(
+                    hex16(cost_model_fingerprint(cm.params)), hash);
+                hash = flow::CheckpointStore::fnv1a(options_canon, hash);
+                JobSpec job;
+                job.id = hex16(hash);
+                job.dir = stem + "__" + strategy + "__" + cm.name + "__" +
+                          job.id.substr(0, 8);
+                job.model_path = path;
+                job.model_name = stem;
+                job.strategy = strategy;
+                job.cost_model = cm;
+                job.model_bytes = bytes;
+                job.manifest = &manifest;
+                jobs.push_back(std::move(job));
+            }
     }
     // Exact duplicates (the same model listed twice, two spellings of one
     // cost model) collapse to one job — two workers must never race on one

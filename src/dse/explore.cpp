@@ -6,17 +6,14 @@
 #include <cstring>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <sstream>
-#include <string_view>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
 #include "core/parallel.hpp"
 #include "obs/obs.hpp"
-#include "sim/backend.hpp"
 #include "sim/batch.hpp"
 #include "taskgraph/baselines.hpp"
 #include "taskgraph/dsc.hpp"
@@ -45,14 +42,6 @@ std::uint64_t fnv1a(std::uint64_t hash, double value) {
     return fnv1a(hash, std::bit_cast<std::uint64_t>(value));
 }
 
-std::uint64_t fnv1a(std::uint64_t hash, std::string_view text) {
-    for (unsigned char byte : text) {
-        hash ^= byte;
-        hash *= kFnvPrime;
-    }
-    return hash;
-}
-
 std::uint64_t graph_fingerprint(const taskgraph::TaskGraph& graph) {
     std::uint64_t h = fnv1a(kFnvOffset, graph.task_count());
     for (std::size_t t = 0; t < graph.task_count(); ++t)
@@ -61,8 +50,6 @@ std::uint64_t graph_fingerprint(const taskgraph::TaskGraph& graph) {
         h = fnv1a(h, e.from);
         h = fnv1a(h, e.to);
         h = fnv1a(h, e.cost);
-        h = fnv1a(h, static_cast<std::uint64_t>(e.produce));
-        h = fnv1a(h, static_cast<std::uint64_t>(e.consume));
     }
     return h;
 }
@@ -84,18 +71,13 @@ struct CacheKey {
     std::uint64_t graph = 0;
     std::uint64_t clustering = 0;
     std::uint64_t params = 0;
-    /// Fingerprint of the *effective* backend name, so inexact backends
-    /// never alias exact entries. A fallback compiles to dynamic-fifo and
-    /// deliberately shares its entries — it runs the same engine.
-    std::uint64_t backend = 0;
     bool operator==(const CacheKey&) const = default;
 };
 
 struct CacheKeyHash {
     std::size_t operator()(const CacheKey& k) const {
-        return static_cast<std::size_t>(fnv1a(
-            fnv1a(fnv1a(fnv1a(kFnvOffset, k.graph), k.clustering), k.params),
-            k.backend));
+        return static_cast<std::size_t>(
+            fnv1a(fnv1a(fnv1a(kFnvOffset, k.graph), k.clustering), k.params));
     }
 };
 
@@ -214,16 +196,12 @@ std::uint64_t clustering_fingerprint(const taskgraph::Clustering& clustering) {
 
 ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
                       const ExploreOptions& options,
-                      diag::DiagnosticEngine* engine) {
+                      diag::DiagnosticEngine* /*engine*/) {
     obs::ObsSpan explore_span("dse.explore");
-    const sim::Backend& backend = sim::backend_or_throw(options.backend);
-    explore_span.annotate("sim.backend", backend.name());
     taskgraph::TaskGraph graph = core::build_task_graph(model, comm);
     const std::size_t n = graph.task_count();
 
     ExploreResult result;
-    result.stats.backend = std::string(backend.name());
-    result.stats.effective_backend = result.stats.backend;
     if (n == 0) return result;
     const std::size_t max_cpus = options.max_processors == 0
                                      ? n
@@ -287,33 +265,26 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
         (void)it;
     }
 
-    // 4. Compile the graph on the requested backend (the per-(graph,
-    //    params) precomputation, shared read-only by every worker; an sdf
-    //    request on non-static rates falls back to dynamic-fifo here,
-    //    reporting into `engine`), probe the memo cache per unique
+    // 4. Prepare the graph once (the per-(graph, params) precomputation,
+    //    shared read-only by every worker), probe the memo cache per unique
     //    clustering, then fan the surviving evaluations out across the
-    //    pool in *chunks*: each chunk mints one BackendEvaluator (partial
-    //    caches, schedule-prefix reuse between consecutive candidates), so
-    //    a pool task amortizes dispatch over `chunk` candidates.
-    std::unique_ptr<sim::CompiledModel> compiled =
-        backend.compile(graph, options.cost_model, engine);
-    result.stats.effective_backend = std::string(compiled->effective_backend());
+    //    pool in *chunks*: each chunk owns one MpsocBatch (schedule-prefix
+    //    reuse between consecutive candidates), so a pool task amortizes
+    //    dispatch over `chunk` candidates.
+    const sim::MpsocPrep prep(graph, options.cost_model);
     const std::uint64_t graph_fp = graph_fingerprint(graph);
     const std::uint64_t params_fp = params_fingerprint(options.cost_model);
-    const std::uint64_t backend_fp =
-        fnv1a(kFnvOffset, compiled->effective_backend());
     std::vector<sim::MpsocResult> unique_results(unique_index.size());
     std::vector<std::size_t> to_simulate;
     to_simulate.reserve(unique_index.size());
     for (std::size_t slot = 0; slot < unique_index.size(); ++slot) {
-        CacheKey key{graph_fp, fingerprints[unique_index[slot]], params_fp,
-                     backend_fp};
+        CacheKey key{graph_fp, fingerprints[unique_index[slot]], params_fp};
         if (!cache().lookup(key, unique_results[slot]))
             to_simulate.push_back(slot);
     }
     // Locality order: neighbors (same strategy, adjacent budgets) differ by
     // few task moves, so placing them consecutively in a chunk maximizes
-    // partial/prefix reuse. Purely an evaluation order — results land in
+    // prefix reuse. Purely an evaluation order — results land in
     // fixed slots, so rankings stay byte-identical to the exhaustive path.
     std::vector<std::size_t> sim_order = to_simulate;
     std::sort(sim_order.begin(), sim_order.end(),
@@ -333,42 +304,31 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
     std::vector<sim::BatchStats> chunk_stats(num_chunks);
     {
         obs::ObsSpan span("dse.simulate-sweep");
-        span.annotate("sim.backend", compiled->effective_backend());
         core::parallel_for_chunked(
             sim_order.size(), jobs, chunk,
             [&](std::size_t begin, std::size_t end) {
                 obs::ObsSpan chunk_span("sim.mpsoc-batch");
-                chunk_span.annotate("sim.backend",
-                                    compiled->effective_backend());
-                std::unique_ptr<sim::BackendEvaluator> evaluator =
-                    compiled->evaluator();
+                sim::MpsocBatch batch(prep);
                 for (std::size_t t = begin; t < end; ++t) {
                     std::size_t slot = sim_order[t];
                     unique_results[slot] =
-                        evaluator->evaluate(clusterings[unique_index[slot]]);
+                        batch.evaluate(clusterings[unique_index[slot]]);
                 }
-                chunk_stats[begin / chunk] = evaluator->stats();
+                chunk_stats[begin / chunk] = batch.stats();
             });
     }
     for (std::size_t slot : to_simulate)
-        cache().insert({graph_fp, fingerprints[unique_index[slot]], params_fp,
-                        backend_fp},
+        cache().insert({graph_fp, fingerprints[unique_index[slot]], params_fp},
                        unique_results[slot]);
 
-    // Optional oracle check: re-price every unique clustering on a fresh,
-    // chain-free evaluator of the same compiled model and require bitwise
-    // equality on every metric. For an exact non-default backend the
-    // makespan is additionally cross-checked bitwise against the
-    // dynamic-fifo reference engine — the backend-equivalence contract.
+    // Optional oracle check: re-price every unique clustering from scratch
+    // (simulate_mpsoc, a chain-free batch of one) and require bitwise
+    // equality on every metric.
     if (options.verify_full) {
         obs::ObsSpan span("dse.verify-full");
-        const bool cross_check =
-            compiled->exact() &&
-            compiled->effective_backend() != sim::kDefaultBackend;
         core::parallel_for(unique_index.size(), jobs, [&](std::size_t slot) {
-            sim::MpsocResult fresh =
-                compiled->evaluator()->evaluate(
-                    clusterings[unique_index[slot]]);
+            sim::MpsocResult fresh = sim::simulate_mpsoc(
+                graph, clusterings[unique_index[slot]], options.cost_model);
             const sim::MpsocResult& inc = unique_results[slot];
             bool same = fresh.makespan == inc.makespan &&
                         fresh.bus_busy == inc.bus_busy &&
@@ -381,17 +341,6 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
                     "dse verify-full: incremental metrics diverge from full "
                     "re-simulation (strategy " +
                     plan[unique_index[slot]].strategy + ")");
-            if (cross_check) {
-                sim::MpsocResult reference = sim::simulate_mpsoc(
-                    graph, clusterings[unique_index[slot]],
-                    options.cost_model);
-                if (reference.makespan != inc.makespan)
-                    throw std::logic_error(
-                        "dse verify-full: backend '" +
-                        std::string(compiled->effective_backend()) +
-                        "' makespan diverges from dynamic-fifo (strategy " +
-                        plan[unique_index[slot]].strategy + ")");
-            }
         });
         result.stats.verified = unique_index.size();
     }
@@ -415,15 +364,12 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
     result.stats.cache_hits = unique_index.size() - to_simulate.size();
     result.stats.jobs = jobs;
     result.stats.chunks = num_chunks;
-    for (const sim::BatchStats& s : chunk_stats) {
-        result.stats.partial_reuse += s.partials_reused;
+    for (const sim::BatchStats& s : chunk_stats)
         result.stats.prefix_tasks_reused += s.prefix_tasks_reused;
-    }
     obs::counter("dse.candidates").add(result.stats.candidates);
     obs::counter("dse.cache_hits").add(result.stats.cache_hits);
     obs::counter("dse.simulations").add(result.stats.simulations);
     obs::counter("dse.duplicates_skipped").add(result.stats.duplicates_skipped);
-    obs::counter("dse.partial_reuse").add(result.stats.partial_reuse);
     obs::counter("dse.prefix_reuse").add(result.stats.prefix_tasks_reused);
     obs::counter("dse.chunks").add(result.stats.chunks);
     if (result.stats.verified)

@@ -38,8 +38,7 @@ std::string options_fingerprint(const GenerateOptions& options) {
         << "|caamc=" << options.caam_c
         << "|caamdot=" << options.caam_dot
         << "|kpnf=" << options.resilience.kpn_firings
-        << "|sims=" << options.resilience.sim_steps
-        << "|simbk=" << options.sim_backend;
+        << "|sims=" << options.resilience.sim_steps;
     return out.str();
 }
 
@@ -266,7 +265,6 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
         context.pass_budget = res.pass_budget;
         context.kpn_firings = res.kpn_firings;
         context.sim_steps = res.sim_steps;
-        context.sim_backend = options.sim_backend;
         return context;
     };
 

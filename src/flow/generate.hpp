@@ -61,9 +61,6 @@ struct GenerateOptions {
     /// in that canonical order. Deliberately NOT part of the checkpoint
     /// fingerprint: a serial run may resume a parallel one and vice versa.
     std::size_t gen_jobs = 1;
-    /// Simulation backend for the advisory sim.estimate pass; empty =
-    /// sim::kDefaultBackend.
-    std::string sim_backend;
     ResilienceOptions resilience;
 };
 

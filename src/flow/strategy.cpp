@@ -9,8 +9,8 @@
 #include "kpn/execute.hpp"
 #include "kpn/from_uml.hpp"
 #include "obs/obs.hpp"
-#include "sim/backend.hpp"
 #include "sim/engine.hpp"
+#include "sim/mpsoc.hpp"
 #include "simulink/dot.hpp"
 #include "simulink/mdl.hpp"
 #include "transform/text.hpp"
@@ -137,15 +137,14 @@ void register_schedulability_probe(PassManager& pm, std::size_t sim_steps) {
            .runs_after("caam.validate"));
 }
 
-/// Advisory cost estimate of the chosen allocation on the configured
-/// simulation backend (sim/backend.hpp) — the §4.2.3 estimate surfaced as
-/// trace counters from `uhcg generate`, without failing the strategy: a
-/// model the cost model cannot price (no threads, detached subsystem) just
-/// counts `estimate-skipped`. Backend fallbacks (sdf on a multirate graph)
-/// land in the diagnostics as the usual sim.backend-fallback warning.
-void register_estimate_pass(PassManager& pm, std::string backend) {
+/// Advisory cost estimate of the chosen allocation on the MPSoC cost model
+/// (sim/mpsoc.hpp) — the §4.2.3 estimate surfaced as trace counters from
+/// `uhcg generate`, without failing the strategy: a model the cost model
+/// cannot price (no threads, detached subsystem) just counts
+/// `estimate-skipped`.
+void register_estimate_pass(PassManager& pm) {
     pm.add(Pass("sim.estimate",
-                [backend = std::move(backend)](PassContext& ctx) {
+                [](PassContext& ctx) {
                     try {
                         const uml::Model& model =
                             *ctx.in<SourceModel>().model;
@@ -161,10 +160,9 @@ void register_estimate_pass(PassManager& pm, std::string backend) {
                         for (const uml::ObjectInstance* t : threads)
                             assignment.push_back(static_cast<int>(
                                 alloc.processor_of(*t)));
-                        sim::MpsocResult estimate = sim::simulate_backend(
+                        sim::MpsocResult estimate = sim::simulate_mpsoc(
                             graph, taskgraph::Clustering::from_assignment(
-                                       std::move(assignment)),
-                            {}, backend, &ctx.diags());
+                                       std::move(assignment)));
                         ctx.count("estimate-cpus", estimate.cpu_busy.size());
                         ctx.count("estimate-makespan",
                                   static_cast<std::size_t>(estimate.makespan));
@@ -568,7 +566,7 @@ SharedCaam compute_shared_caam(const StrategyContext& context,
     apply_resilience(pm, context);
     register_caam_passes(pm, context.mapper, CaamPipelineMode::Engine);
     register_schedulability_probe(pm, context.sim_steps);
-    register_estimate_pass(pm, context.sim_backend);
+    register_estimate_pass(pm);
     auto run = pm.run(store, engine, trace,
                       group_label("simulink-caam", *context.subsystem));
     fill_mapper_report(shared.mapper_report, store, engine, first_diag);

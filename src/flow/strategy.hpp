@@ -60,9 +60,6 @@ struct StrategyContext {
     /// Watchdogged smoke-simulation steps after the schedulability probe
     /// (sim.schedulability); 0 keeps the probe build-only.
     std::size_t sim_steps = 0;
-    /// Simulation backend for the advisory cost-estimate pass
-    /// (sim.estimate); empty = sim::kDefaultBackend.
-    std::string sim_backend;
     /// Shared mapping for the caam-family emitters, owned by the
     /// dispatcher. Null for non-caam strategies and for standalone
     /// strategy calls — a caam emitter then computes a private mapping.

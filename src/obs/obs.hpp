@@ -191,7 +191,7 @@ public:
     std::uint64_t id() const { return id_; }
 
     /// Attaches one key/value annotation, exported in the Chrome-trace
-    /// `args` object (e.g. the simulation backend pricing a sweep). A
+    /// `args` object (e.g. the strategy a unit ran under). A
     /// second call overwrites; no-op on a disarmed span.
     void annotate(std::string_view key, std::string_view value);
 

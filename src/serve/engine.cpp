@@ -13,7 +13,6 @@
 #include "flow/txout.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
-#include "sim/backend.hpp"
 #include "sim/mpsoc.hpp"
 
 namespace uhcg::serve {
@@ -280,7 +279,7 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
                << ",\"hits\":" << cache.hits << ",\"misses\":" << cache.misses
                << ",\"evictions\":" << cache.evictions << "}";
         // Explore reuse, server-side: memo hits say a request ran warm,
-        // partial reuse says a cold sweep was still incremental. Always
+        // prefix reuse says a cold sweep was still incremental. Always
         // present (zeros before the first explore) so dashboards need no
         // schema branch.
         {
@@ -288,23 +287,12 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
             result << ",\"dse\":{\"explores\":" << dse_totals_.explores
                    << ",\"total\":{\"simulations\":" << dse_totals_.simulations
                    << ",\"cache_hits\":" << dse_totals_.cache_hits
-                   << ",\"partial_reuse\":" << dse_totals_.partial_reuse
                    << ",\"prefix_tasks_reused\":"
                    << dse_totals_.prefix_tasks_reused
                    << "},\"last\":{\"simulations\":" << dse_last_.simulations
                    << ",\"cache_hits\":" << dse_last_.cache_hits
-                   << ",\"partial_reuse\":" << dse_last_.partial_reuse
                    << ",\"prefix_tasks_reused\":"
-                   << dse_last_.prefix_tasks_reused
-                   << ",\"backend\":" << quote(dse_last_.backend)
-                   << "},\"by_backend\":{";
-            bool first_backend = true;
-            for (const auto& [name, count] : dse_by_backend_) {
-                result << (first_backend ? "" : ",") << quote(name) << ":"
-                       << count;
-                first_backend = false;
-            }
-            result << "}}";
+                   << dse_last_.prefix_tasks_reused << "}}";
         }
         // Per-category counter rollup: "xml.nodes_parsed" lands under
         // "xml", "serve.cache_hits" under "serve" — the status consumer's
@@ -480,18 +468,9 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
         options.chunk_size =
             static_cast<std::size_t>(param_number(doc, "chunk", 0));
         options.verify_full = param_bool(doc, "verify_full", false);
-        options.backend = param_string(doc, "backend");
-        if (!sim::find_backend(options.backend))
-            return error_response(id, "serve.bad-request",
-                                  "unknown simulation backend '" +
-                                      options.backend +
-                                      "' (want dynamic-fifo, analytic or "
-                                      "sdf)");
         dse::ExploreResult result;
-        diag::DiagnosticEngine explore_diags;
         try {
-            result = dse::explore(resident->model, resident->comm, options,
-                                  &explore_diags);
+            result = dse::explore(resident->model, resident->comm, options);
         } catch (const std::exception& e) {
             return error_response(
                 id, "serve.bad-model",
@@ -516,31 +495,20 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
         r << "],\"stats\":{\"simulations\":" << result.stats.simulations
           << ",\"cache_hits\":" << result.stats.cache_hits
           << ",\"duplicates_skipped\":" << result.stats.duplicates_skipped
-          << ",\"partial_reuse\":" << result.stats.partial_reuse
           << ",\"prefix_tasks_reused\":" << result.stats.prefix_tasks_reused
           << ",\"chunks\":" << result.stats.chunks
           << ",\"verified\":" << result.stats.verified
-          << ",\"jobs\":" << result.stats.jobs
-          << ",\"backend\":" << quote(result.stats.backend)
-          << ",\"effective_backend\":"
-          << quote(result.stats.effective_backend);
-        if (explore_diags.count_code(diag::codes::kSimBackendFallback))
-            r << ",\"backend_fallback\":true";
-        r << "}}";
+          << ",\"jobs\":" << result.stats.jobs << "}}";
         {
             std::lock_guard<std::mutex> lock(dse_mutex_);
             dse_last_ = DseActivity{0, result.stats.simulations,
                                     result.stats.cache_hits,
-                                    result.stats.partial_reuse,
-                                    result.stats.prefix_tasks_reused,
-                                    result.stats.effective_backend};
+                                    result.stats.prefix_tasks_reused};
             ++dse_totals_.explores;
             dse_totals_.simulations += result.stats.simulations;
             dse_totals_.cache_hits += result.stats.cache_hits;
-            dse_totals_.partial_reuse += result.stats.partial_reuse;
             dse_totals_.prefix_tasks_reused +=
                 result.stats.prefix_tasks_reused;
-            ++dse_by_backend_[result.stats.effective_backend];
         }
         return finish(ok_head(cache_state, resident->hash), r.str());
     }
@@ -553,23 +521,13 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
                                               params.gfifo_cost_per_byte);
     std::size_t max_processors =
         static_cast<std::size_t>(param_number(doc, "max_processors", 0));
-    std::string backend = param_string(doc, "backend");
-    if (!sim::find_backend(backend))
-        return error_response(id, "serve.bad-request",
-                              "unknown simulation backend '" + backend +
-                                  "' (want dynamic-fifo, analytic or sdf)");
     sim::MpsocResult sim_result;
-    std::string effective_backend;
-    diag::DiagnosticEngine sim_diags;
     try {
         taskgraph::TaskGraph graph =
             core::build_task_graph(resident->model, resident->comm);
         taskgraph::Clustering clustering = core::auto_clustering(
             resident->model, resident->comm, max_processors);
-        std::unique_ptr<sim::CompiledModel> compiled =
-            sim::backend_or_throw(backend).compile(graph, params, &sim_diags);
-        effective_backend = compiled->effective_backend();
-        sim_result = compiled->evaluator()->evaluate(clustering);
+        sim_result = sim::simulate_mpsoc(graph, clustering, params);
     } catch (const std::exception& e) {
         // A model the simulator cannot schedule (e.g. a feedback cycle in
         // the task graph) is an input property, not an internal error —
@@ -584,11 +542,7 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
       << ",\"inter_traffic\":" << number_text(sim_result.inter_traffic)
       << ",\"intra_traffic\":" << number_text(sim_result.intra_traffic)
       << ",\"bus_transfers\":" << sim_result.bus_transfers
-      << ",\"processors\":" << sim_result.cpu_busy.size()
-      << ",\"backend\":" << quote(effective_backend);
-    if (sim_diags.count_code(diag::codes::kSimBackendFallback))
-        r << ",\"backend_fallback\":true";
-    r << "}";
+      << ",\"processors\":" << sim_result.cpu_busy.size() << "}";
     return finish(ok_head(cache_state, resident->hash), r.str());
 }
 

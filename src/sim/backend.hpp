@@ -1,37 +1,16 @@
-// backend.hpp — pluggable pricing backends behind one simulation contract.
+// backend.hpp — the end-to-end benchmark's fixed entry points into pricing.
 //
-// Virtuoso's pitch — "built on Sniper but can be plugged into multiple
-// simulators" — applied to our cost layer: every consumer of the MPSoC
-// cost model (the DSE sweep, the flow's advisory estimate pass, the CLI,
-// the serve daemon) prices candidates through a named `Backend` instead of
-// calling the dynamic-FIFO engine directly. Three builtins:
-//
-//   dynamic-fifo   the event-driven engine of sim/mpsoc + sim/batch — the
-//                  reference semantics every exact backend must reproduce;
-//   analytic       closed-form critical-path/contention bound, no event
-//                  loop: max(dependency-path bound, per-CPU work bound,
-//                  shared-bus occupancy bound). Orders of magnitude cheaper
-//                  and deliberately *inexact* (a lower bound, for triage
-//                  sweeps) — never cross-verified bitwise;
-//   sdf            SDF static-schedule pricing (Fakih et al., PAPERS.md):
-//                  `compile` solves the balance equations (sim/sdf.hpp);
-//                  on a homogeneous (single-rate) graph it fixes the
-//                  periodic schedule at compile time and prices candidates
-//                  by replaying it — bitwise identical to dynamic-fifo,
-//                  but with no per-cluster fingerprint hashing in the
-//                  inner loop. Non-static rates fall back to dynamic-fifo
-//                  with a structured `sim.backend-fallback` diagnostic.
-//
-// Split mirrors sim/batch: `Backend::compile` is the per-(graph, params)
-// precomputation, shared read-only across workers; `CompiledModel::
-// evaluator` mints the per-worker mutable evaluator. The registry mirrors
-// flow::StrategyRegistry (name-keyed, registration order).
+// Every candidate is priced by one path: sim::MpsocPrep plus
+// sim::MpsocBatch (sim/batch.hpp), reached directly or through
+// simulate_mpsoc. This header keeps only the two call shapes the
+// benchmark program under e2ebench/ (uhcg_e2ebench) is written against;
+// that program is its only caller. The name argument of those shapes
+// accepts "" and "dynamic-fifo" (both the one path) and throws
+// std::invalid_argument for anything else.
 #pragma once
 
 #include <memory>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "diag/diag.hpp"
 #include "sim/batch.hpp"
@@ -41,82 +20,32 @@
 
 namespace uhcg::sim {
 
-/// The default backend — the engine `simulate_mpsoc` has always used.
-inline constexpr std::string_view kDefaultBackend = "dynamic-fifo";
-
-/// Per-worker pricing state. Not thread-safe; mint one per worker/chunk
-/// (CompiledModel::evaluator) and feed it candidates in locality order.
-class BackendEvaluator {
-public:
-    virtual ~BackendEvaluator() = default;
-    /// Prices one clustering of the compiled graph.
-    virtual MpsocResult evaluate(const taskgraph::Clustering& clustering) = 0;
-    /// Forgets incremental state from the previous candidate, if any.
-    virtual void break_chain() {}
-    /// Reuse accounting (all-zero for backends without reuse layers).
-    virtual BatchStats stats() const { return {}; }
-};
-
-/// Immutable per-(graph, params) compilation, shared read-only by every
-/// worker of a sweep — the backend-generic face of sim::MpsocPrep.
-class CompiledModel {
-public:
-    virtual ~CompiledModel() = default;
-    /// The backend actually pricing candidates. Differs from the requested
-    /// backend after a fallback ("sdf" on a multirate graph compiles to
-    /// "dynamic-fifo") — memo caches must key on *this* name.
-    virtual std::string_view effective_backend() const = 0;
-    /// True when results are bitwise identical to dynamic-fifo makespans
-    /// (the cross-backend verify contract). False for bounds (analytic).
-    virtual bool exact() const = 0;
-    virtual std::unique_ptr<BackendEvaluator> evaluator() const = 0;
-};
-
-class Backend {
-public:
-    virtual ~Backend() = default;
-    virtual std::string_view name() const = 0;
-    /// One-line description for --help and the docs.
-    virtual std::string_view description() const = 0;
-    /// Compiles `graph` under `params`. A backend that cannot honour its
-    /// own semantics falls back (see CompiledModel::effective_backend),
-    /// reporting a `sim.backend-fallback` warning into `engine` when one
-    /// is given; it never fails compile for rate reasons. A cyclic graph
-    /// still throws std::logic_error — the contract simulate_mpsoc had.
-    virtual std::unique_ptr<CompiledModel> compile(
-        const taskgraph::TaskGraph& graph, const MpsocParams& params,
-        diag::DiagnosticEngine* engine = nullptr) const = 0;
-};
-
-/// Name-keyed backend registry; iteration order is registration order.
-class BackendRegistry {
-public:
-    BackendRegistry& add(std::unique_ptr<Backend> backend);
-    const Backend* find(std::string_view name) const;
-    const std::vector<std::unique_ptr<Backend>>& backends() const {
-        return backends_;
+/// A graph prepared for pricing; each evaluator() is a fresh MpsocBatch.
+struct PreparedPricing {
+    MpsocPrep prep;
+    std::unique_ptr<MpsocBatch> evaluator() const {
+        return std::make_unique<MpsocBatch>(prep);
     }
-    /// The process-wide registry of builtins, registration order:
-    /// dynamic-fifo, analytic, sdf.
-    static const BackendRegistry& builtins();
-
-private:
-    std::vector<std::unique_ptr<Backend>> backends_;
 };
 
-/// Builtin lookup: empty name resolves to kDefaultBackend; an unknown
-/// name throws std::invalid_argument listing the registered backends.
-const Backend& backend_or_throw(std::string_view name);
-/// Builtin lookup without the throw; nullptr for unknown (empty name
-/// still resolves to the default).
-const Backend* find_backend(std::string_view name);
+/// The one pricing path under the call shape `compile(...)->evaluator()`.
+struct Pricing {
+    /// Prepares `graph` under `params`; throws std::logic_error when the
+    /// graph is cyclic. `engine` is accepted and unused.
+    std::unique_ptr<PreparedPricing> compile(
+        const taskgraph::TaskGraph& graph, const MpsocParams& params,
+        diag::DiagnosticEngine* engine = nullptr) const;
+};
 
-/// One-shot convenience mirroring simulate_mpsoc: compile + price one
-/// clustering on the named builtin backend.
+/// The pricing path for `name` ("" or "dynamic-fifo").
+const Pricing& backend_or_throw(std::string_view name);
+
+/// simulate_mpsoc after checking `name` as backend_or_throw does;
+/// `engine` is accepted and unused.
 MpsocResult simulate_backend(const taskgraph::TaskGraph& graph,
                              const taskgraph::Clustering& clustering,
                              const MpsocParams& params,
-                             std::string_view backend,
+                             std::string_view name,
                              diag::DiagnosticEngine* engine = nullptr);
 
 }  // namespace uhcg::sim

@@ -12,21 +12,6 @@ using taskgraph::Edge;
 using taskgraph::TaskGraph;
 using taskgraph::TaskIndex;
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-        hash ^= (value >> (i * 8)) & 0xffu;
-        hash *= kFnvPrime;
-    }
-    return hash;
-}
-
-}  // namespace
-
 MpsocPrep::MpsocPrep(const TaskGraph& graph, const MpsocParams& params)
     : graph_(&graph), params_(params), topo_(graph.topological_order()) {
     const std::size_t n = graph.task_count();
@@ -46,38 +31,6 @@ MpsocPrep::MpsocPrep(const TaskGraph& graph, const MpsocParams& params)
 }
 
 MpsocBatch::MpsocBatch(const MpsocPrep& prep) : prep_(prep) {}
-
-const MpsocBatch::ClusterPartial& MpsocBatch::partial_of(int cluster) {
-    const std::vector<TaskIndex>& members =
-        members_[static_cast<std::size_t>(cluster)];
-    std::uint64_t fp = fnv1a(kFnvOffset, members.size());
-    for (TaskIndex t : members) fp = fnv1a(fp, t);
-    auto it = partials_.find(fp);
-    if (it != partials_.end()) {
-        ++stats_.partials_reused;
-        return it->second;
-    }
-    ++stats_.partials_computed;
-    const TaskGraph& graph = *prep_.graph_;
-    ClusterPartial p;
-    for (TaskIndex t : members) {
-        p.work += prep_.work_[t];
-        for (std::size_t e : graph.out_edges(t)) {
-            const Edge& edge = graph.edge(e);
-            // Internality depends only on the member set (is `to` one of
-            // us?), which is exactly what the cache key fingerprints — so
-            // a cached partial stays valid across candidates.
-            if (canon_cur_[edge.to] == cluster) {
-                p.internal_cost += edge.cost;
-            } else {
-                p.cut_cost += edge.cost;
-                p.cut_bus += prep_.bus_duration_[e];
-                ++p.cut_edges;
-            }
-        }
-    }
-    return partials_.emplace(fp, p).first->second;
-}
 
 std::size_t MpsocBatch::resume_position() const {
     if (!has_prev_ || canon_prev_.size() != canon_cur_.size()) return 0;
@@ -126,19 +79,34 @@ MpsocResult MpsocBatch::evaluate(const Clustering& clustering) {
     for (TaskIndex t = 0; t < n; ++t)
         members_[static_cast<std::size_t>(canon_cur_[t])].push_back(t);
 
-    // 3. Aggregates from per-cluster partials, summed in canonical cluster
-    //    order — one deterministic order shared by fresh and incremental
-    //    evaluation, and no subtractions: a clustering with no cut edges
-    //    reports inter_traffic exactly 0.0.
+    // 3. Per-cluster aggregates, each summed member-ascending and then
+    //    added to the result in canonical cluster order — one deterministic
+    //    order shared by fresh and incremental evaluation, and no
+    //    subtractions: a clustering with no cut edges reports inter_traffic
+    //    exactly 0.0.
     MpsocResult result;
     result.cpu_busy.assign(static_cast<std::size_t>(k), 0.0);
     for (int ci = 0; ci < k; ++ci) {
-        const ClusterPartial& p = partial_of(ci);
-        result.cpu_busy[static_cast<std::size_t>(ci)] = p.work;
-        result.intra_traffic += p.internal_cost;
-        result.inter_traffic += p.cut_cost;
-        result.bus_busy += p.cut_bus;
-        result.bus_transfers += p.cut_edges;
+        double work = 0.0, internal_cost = 0.0, cut_cost = 0.0, cut_bus = 0.0;
+        std::size_t cut_edges = 0;
+        for (TaskIndex t : members_[static_cast<std::size_t>(ci)]) {
+            work += prep_.work_[t];
+            for (std::size_t e : graph.out_edges(t)) {
+                const Edge& edge = graph.edge(e);
+                if (canon_cur_[edge.to] == ci) {
+                    internal_cost += edge.cost;
+                } else {
+                    cut_cost += edge.cost;
+                    cut_bus += prep_.bus_duration_[e];
+                    ++cut_edges;
+                }
+            }
+        }
+        result.cpu_busy[static_cast<std::size_t>(ci)] = work;
+        result.intra_traffic += internal_cost;
+        result.inter_traffic += cut_cost;
+        result.bus_busy += cut_bus;
+        result.bus_transfers += cut_edges;
     }
 
     // 4. Timed scan with prefix resume. Every quantity at topological

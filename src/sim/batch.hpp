@@ -9,26 +9,19 @@
 //    (topological order/positions, per-task compute cycles, per-edge
 //    transfer prices), built once and shared read-only by every worker;
 //  * `MpsocBatch` — a per-worker evaluator that carries scratch buffers
-//    and two reuse layers across consecutive candidates:
-//      - per-cluster partial costs (compute cycles, internal traffic, cut
-//        traffic/bus occupancy) keyed by the cluster's member set, so a
-//        cluster that reappears in a later candidate is never re-priced;
-//      - schedule-prefix reuse: neighboring clusterings differ in a few
-//        task assignments, and every scan quantity at a topological
-//        position depends only on assignments at or before the first
-//        affected position — so the timed scan resumes there instead of
-//        at zero.
+//    and one reuse layer across consecutive candidates, schedule-prefix
+//    reuse: neighboring clusterings differ in a few task assignments, and
+//    every scan quantity at a topological position depends only on
+//    assignments at or before the first affected position — so the timed
+//    scan resumes there instead of at zero.
 //
-// Both layers are exact: an incremental evaluation is bitwise identical
-// to a fresh one (the partial of a member set is computed once, in one
-// deterministic order; a resumed scan replays the same operations from
-// identical state). `simulate_mpsoc` is the chain-free special case, which
-// makes it the natural oracle for `dse` verify mode.
+// The reuse is exact: an incremental evaluation is bitwise identical to a
+// fresh one (a resumed scan replays the same operations from identical
+// state). `simulate_mpsoc` is the chain-free special case, which makes it
+// the natural oracle for `dse` verify mode.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/mpsoc.hpp"
@@ -40,8 +33,6 @@ namespace uhcg::sim {
 /// Reuse accounting for one MpsocBatch (one chunk of a sweep).
 struct BatchStats {
     std::size_t evaluated = 0;           ///< clusterings priced
-    std::size_t partials_computed = 0;   ///< cluster partials priced fresh
-    std::size_t partials_reused = 0;     ///< cluster partials served cached
     std::size_t prefix_tasks_reused = 0; ///< scan positions replayed from the
                                          ///< previous candidate's schedule
 };
@@ -55,15 +46,6 @@ public:
 
     const taskgraph::TaskGraph& graph() const { return *graph_; }
     const MpsocParams& params() const { return params_; }
-
-    // The precomputed tables, exposed read-only so alternative pricing
-    // backends (sim/backend.hpp) replay the exact arithmetic of the timed
-    // scan without re-deriving them.
-    const std::vector<taskgraph::TaskIndex>& topo() const { return topo_; }
-    const std::vector<std::size_t>& pos() const { return pos_; }
-    const std::vector<double>& work() const { return work_; }
-    const std::vector<double>& sw_delay() const { return sw_delay_; }
-    const std::vector<double>& bus_duration() const { return bus_duration_; }
 
 private:
     friend class MpsocBatch;
@@ -89,27 +71,16 @@ public:
     MpsocResult evaluate(const taskgraph::Clustering& clustering);
 
     /// Forgets the previous candidate: the next evaluate() runs a full
-    /// scan (the per-cluster partial cache is kept — it is history-free).
+    /// scan.
     void break_chain() { has_prev_ = false; }
 
     const BatchStats& stats() const { return stats_; }
 
 private:
-    /// Costs of one cluster that depend on its member set alone.
-    struct ClusterPartial {
-        double work = 0.0;           ///< Σ member compute cycles
-        double internal_cost = 0.0;  ///< Σ cost of member→member edges
-        double cut_cost = 0.0;       ///< Σ cost of member→outside edges
-        double cut_bus = 0.0;        ///< Σ bus duration of those edges
-        std::size_t cut_edges = 0;   ///< how many cross the boundary
-    };
-
-    const ClusterPartial& partial_of(int cluster);
     std::size_t resume_position() const;
 
     const MpsocPrep& prep_;
     BatchStats stats_;
-    std::unordered_map<std::uint64_t, ClusterPartial> partials_;
 
     // Scratch, persistent across evaluate() calls (the delta chain).
     bool has_prev_ = false;

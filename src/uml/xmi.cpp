@@ -623,8 +623,11 @@ Model from_xmi_string(const std::string& text, diag::DiagnosticEngine& engine,
         xml::Document doc = xml::parse(text);
         return read_xmi(doc, engine, file);
     } catch (const xml::ParseError& e) {
-        engine.report(diag::Severity::Fatal, diag::codes::kXmlParse, e.detail(),
-                      {file, e.line(), e.column()});
+        engine.report(diag::Severity::Fatal,
+                      e.kind() == xml::ParseError::Kind::Depth
+                          ? diag::codes::kXmlDepth
+                          : diag::codes::kXmlParse,
+                      e.detail(), {file, e.line(), e.column()});
         return Model("invalid");
     }
 }

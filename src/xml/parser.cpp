@@ -9,6 +9,11 @@
 namespace uhcg::xml {
 namespace {
 
+/// Deepest element nesting the parser accepts. Parsing recurses once per
+/// level, so the limit bounds stack use. The XMI writer and synth-corpus
+/// emit at most five levels, so real models sit far below it.
+constexpr std::size_t kMaxNestingDepth = 1000;
+
 bool is_name_start(char c) {
     return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
 }
@@ -48,8 +53,9 @@ public:
         while (!eof() && std::isspace(static_cast<unsigned char>(peek()))) advance();
     }
 
-    [[noreturn]] void fail(std::string message) const {
-        throw ParseError(std::move(message), line_, column_);
+    [[noreturn]] void fail(std::string message,
+                           ParseError::Kind kind = ParseError::Kind::Syntax) const {
+        throw ParseError(std::move(message), line_, column_, kind);
     }
 
     void expect(char c) {
@@ -228,6 +234,10 @@ private:
 
     std::unique_ptr<Element> parse_element() {
         ++elements_;
+        if (++depth_ > kMaxNestingDepth)
+            cur_.fail("element nesting exceeds depth limit " +
+                          std::to_string(kMaxNestingDepth),
+                      ParseError::Kind::Depth);
         std::size_t line = cur_.line(), column = cur_.column();
         cur_.expect('<');
         auto elem = std::make_unique<Element>(parse_name());
@@ -248,16 +258,18 @@ private:
         }
         if (cur_.starts_with("/>")) {
             cur_.advance_by(2);
-            return elem;
+        } else {
+            cur_.expect('>');
+            parse_content(*elem);
+            // parse_content consumed "</"; now the matching close tag name.
+            std::string close = parse_name();
+            if (close != elem->name())
+                cur_.fail("mismatched close tag </" + close + "> for <" +
+                          elem->name() + ">");
+            cur_.skip_whitespace();
+            cur_.expect('>');
         }
-        cur_.expect('>');
-        parse_content(*elem);
-        // parse_content consumed "</"; now the matching close tag name.
-        std::string close = parse_name();
-        if (close != elem->name())
-            cur_.fail("mismatched close tag </" + close + "> for <" + elem->name() + ">");
-        cur_.skip_whitespace();
-        cur_.expect('>');
+        --depth_;
         return elem;
     }
 
@@ -303,26 +315,30 @@ private:
 
     Cursor cur_;
     std::size_t elements_ = 0;
+    std::size_t depth_ = 0;  ///< currently open elements
 };
 
 }  // namespace
 
-ParseError::ParseError(std::string message, std::size_t line, std::size_t column)
+ParseError::ParseError(std::string message, std::size_t line, std::size_t column,
+                       Kind kind)
     : std::runtime_error("XML parse error at " + std::to_string(line) + ":" +
                          std::to_string(column) + ": " + message),
       detail_(std::move(message)),
       line_(line),
-      column_(column) {}
+      column_(column),
+      kind_(kind) {}
 
 ParseError::ParseError(std::string message, std::string file, std::size_t line,
-                       std::size_t column)
+                       std::size_t column, Kind kind)
     : std::runtime_error("XML parse error at " + file + ":" +
                          std::to_string(line) + ":" + std::to_string(column) +
                          ": " + message),
       detail_(std::move(message)),
       file_(std::move(file)),
       line_(line),
-      column_(column) {}
+      column_(column),
+      kind_(kind) {}
 
 Document parse(std::string_view input) {
     obs::ObsSpan span("xml.parse");
@@ -339,7 +355,7 @@ Document parse_file(const std::string& path) {
     } catch (const ParseError& e) {
         // Re-raise with the path attached; the bare in-memory error would
         // otherwise lose which file of a multi-model batch was at fault.
-        throw ParseError(e.detail(), path, e.line(), e.column());
+        throw ParseError(e.detail(), path, e.line(), e.column(), e.kind());
     }
 }
 

@@ -5,7 +5,9 @@
 // entity references, CDATA sections, comments, processing instructions
 // (skipped), and an optional XML declaration. DTDs are not supported;
 // encountering one raises ParseError, which is the honest behaviour for a
-// model-interchange tool (XMI never ships DTDs).
+// model-interchange tool (XMI never ships DTDs). Element nesting deeper
+// than a fixed limit raises ParseError of kind Depth instead of
+// overflowing the stack.
 #pragma once
 
 #include <stdexcept>
@@ -21,21 +23,28 @@ namespace uhcg::xml {
 /// a full source location without re-deriving context.
 class ParseError : public std::runtime_error {
 public:
-    ParseError(std::string message, std::size_t line, std::size_t column);
+    /// Syntax: malformed input. Depth: element nesting beyond the parser's
+    /// limit (well-formed, but refused so the recursion stays bounded).
+    enum class Kind { Syntax, Depth };
+
+    ParseError(std::string message, std::size_t line, std::size_t column,
+               Kind kind = Kind::Syntax);
     ParseError(std::string message, std::string file, std::size_t line,
-               std::size_t column);
+               std::size_t column, Kind kind = Kind::Syntax);
     /// The parse failure without the position prefix.
     const std::string& detail() const { return detail_; }
     /// Path of the input file; empty for in-memory parses.
     const std::string& file() const { return file_; }
     std::size_t line() const { return line_; }
     std::size_t column() const { return column_; }
+    Kind kind() const { return kind_; }
 
 private:
     std::string detail_;
     std::string file_;
     std::size_t line_;
     std::size_t column_;
+    Kind kind_;
 };
 
 /// Parses a complete XML document from memory.

@@ -59,8 +59,11 @@ protected:
         campaign::Manifest manifest;
         manifest.models = {corpus.string()};
         manifest.strategies = {"generate", "explore"};
-        manifest.backends = {"dynamic-fifo", "analytic"};
         manifest.cost_models.push_back({});
+        campaign::CostModel slow;
+        slow.name = "slow-gfifo";
+        slow.params.gfifo_cost_per_byte = 40.0;
+        manifest.cost_models.push_back(slow);
         manifest.max_processors = 3;
         manifest.random_samples = 1;
         return manifest;
@@ -92,7 +95,6 @@ TEST_F(Campaign, ManifestParsesFieldsAndDefaults) {
         "schema": "uhcg-campaign-v1",
         "models": ["a.xmi", "b.xmi"],
         "strategies": "explore",
-        "backends": ["sdf"],
         "cost_models": [{"name": "slow", "gfifo_cost_per_byte": 40,
                          "shared_bus": false}],
         "explore": {"max_processors": 4, "random_samples": 2},
@@ -102,8 +104,6 @@ TEST_F(Campaign, ManifestParsesFieldsAndDefaults) {
     EXPECT_EQ(m.models.size(), 2u);
     ASSERT_EQ(m.strategies.size(), 1u);  // scalar accepted as 1-elem list
     EXPECT_EQ(m.strategies[0], "explore");
-    ASSERT_EQ(m.backends.size(), 1u);
-    EXPECT_EQ(m.backends[0], "sdf");
     ASSERT_EQ(m.cost_models.size(), 1u);
     EXPECT_EQ(m.cost_models[0].name, "slow");
     EXPECT_EQ(m.cost_models[0].params.gfifo_cost_per_byte, 40.0);
@@ -119,8 +119,6 @@ TEST_F(Campaign, ManifestParsesFieldsAndDefaults) {
         defaults_engine);
     ASSERT_FALSE(defaults_engine.has_errors());
     EXPECT_EQ(d.strategies.size(), 2u);  // both strategies by default
-    ASSERT_EQ(d.backends.size(), 1u);
-    EXPECT_EQ(d.backends[0], "dynamic-fifo");
     EXPECT_EQ(d.cost_models.size(), 1u);
     EXPECT_EQ(d.cost_models[0].name, "default");
 }
@@ -133,8 +131,11 @@ TEST_F(Campaign, ManifestRejectsBadInputsWithStructuredErrors) {
         R"({"schema": "uhcg-campaign-v1", "models": []})",
         R"({"schema": "uhcg-campaign-v1", "models": "a",
             "strategies": ["mystery"]})",
+        // Unknown top-level keys: a retired axis and a typo of a real one.
         R"({"schema": "uhcg-campaign-v1", "models": "a",
-            "backends": ["warp-drive"]})",
+            "backends": ["dynamic-fifo"]})",
+        R"({"schema": "uhcg-campaign-v1", "models": "a",
+            "strategy": ["explore"]})",
         R"({"schema": "uhcg-campaign-v1", "models": "a",
             "cost_models": [{"unknown_knob": 1}]})",
     };
@@ -145,6 +146,19 @@ TEST_F(Campaign, ManifestRejectsBadInputsWithStructuredErrors) {
         EXPECT_GE(engine.count_code(diag::codes::kCampaignManifest), 1u)
             << text;
     }
+    // An unknown top-level key is named in the error.
+    for (const char* key : {"backends", "strategy"}) {
+        diag::DiagnosticEngine engine;
+        campaign::parse_manifest(
+            std::string(R"({"schema": "uhcg-campaign-v1", "models": "a", ")") +
+                key + R"(": []})",
+            engine);
+        ASSERT_EQ(engine.diagnostics().size(), 1u) << key;
+        EXPECT_NE(engine.diagnostics()[0].message.find(
+                      std::string("unknown manifest key '") + key + "'"),
+                  std::string::npos)
+            << engine.diagnostics()[0].message;
+    }
 }
 
 TEST_F(Campaign, ExpandIsDeterministicAndContentKeyed) {
@@ -154,7 +168,7 @@ TEST_F(Campaign, ExpandIsDeterministicAndContentKeyed) {
     diag::DiagnosticEngine e1, e2;
     std::vector<campaign::JobSpec> a = campaign::expand(manifest, e1);
     std::vector<campaign::JobSpec> b = campaign::expand(manifest, e2);
-    // 2 models × 2 strategies × 1 cost model × 2 backends.
+    // 2 models × 2 strategies × 2 cost models.
     ASSERT_EQ(a.size(), 8u);
     ASSERT_EQ(b.size(), a.size());
     for (std::size_t i = 0; i < a.size(); ++i) {

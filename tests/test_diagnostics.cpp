@@ -14,6 +14,7 @@
 #include "sim/engine.hpp"
 #include "simulink/model.hpp"
 #include "uml/xmi.hpp"
+#include "xml/parser.hpp"
 
 using namespace uhcg;
 
@@ -29,6 +30,15 @@ std::string slurp(const std::string& path) {
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
+}
+
+/// `<a>` nested `depth` levels deep: well-formed XML of any depth.
+std::string nested_document(std::size_t depth) {
+    std::string text;
+    text.reserve(depth * 7);
+    for (std::size_t i = 0; i < depth; ++i) text += "<a>";
+    for (std::size_t i = 0; i < depth; ++i) text += "</a>";
+    return text;
 }
 
 }  // namespace
@@ -220,6 +230,51 @@ INSTANTIATE_TEST_SUITE_P(
         std::string name = info.param.file;
         return name.substr(0, name.find('.'));
     });
+
+// --- nesting depth ----------------------------------------------------------------
+
+TEST(XmlDepth, DeepDocumentIsAStructuredDiagnosticNotACrash) {
+    // 30,000 levels overflowed the recursive parser's stack before the
+    // depth limit existed.
+    diag::DiagnosticEngine engine;
+    uml::Model model =
+        uml::from_xmi_string(nested_document(30000), engine, "deep.xmi");
+    EXPECT_TRUE(engine.has_errors());
+    ASSERT_EQ(engine.count_code(diag::codes::kXmlDepth), 1u)
+        << engine.render_text();
+    EXPECT_EQ(engine.count_code(diag::codes::kXmlParse), 0u);
+    const diag::Diagnostic& d = engine.diagnostics().front();
+    EXPECT_EQ(d.severity, diag::Severity::Fatal);
+    EXPECT_EQ(d.location.file, "deep.xmi");
+    EXPECT_NE(d.message.find("depth limit"), std::string::npos) << d.message;
+}
+
+TEST(XmlDepth, LimitIsExactAndSyntaxErrorsKeepTheirKind) {
+    // Find the limit from the error message, then check both sides of it.
+    std::size_t limit = 0;
+    try {
+        xml::parse(nested_document(30000));
+        FAIL() << "30000-deep document accepted";
+    } catch (const xml::ParseError& e) {
+        EXPECT_EQ(e.kind(), xml::ParseError::Kind::Depth);
+        limit = std::stoul(e.detail().substr(e.detail().rfind(' ') + 1));
+    }
+    ASSERT_GE(limit, 100u);
+    EXPECT_NO_THROW(xml::parse(nested_document(limit)));
+    try {
+        xml::parse(nested_document(limit + 1));
+        FAIL() << "document one level past the limit accepted";
+    } catch (const xml::ParseError& e) {
+        EXPECT_EQ(e.kind(), xml::ParseError::Kind::Depth);
+    }
+    // Ordinary syntax errors keep their kind.
+    try {
+        xml::parse("<a><b></a>");
+        FAIL() << "mismatched tags accepted";
+    } catch (const xml::ParseError& e) {
+        EXPECT_EQ(e.kind(), xml::ParseError::Kind::Syntax);
+    }
+}
 
 // --- pipeline diagnostics -----------------------------------------------------------
 

@@ -622,7 +622,6 @@ campaign::Manifest manifest_for(const fs::path& corpus) {
     campaign::Manifest manifest;
     manifest.models = {corpus.string()};
     manifest.strategies = {"generate", "explore"};
-    manifest.backends = {"dynamic-fifo"};
     manifest.cost_models.push_back({});
     manifest.max_processors = 3;
     manifest.random_samples = 1;

@@ -265,15 +265,19 @@ TEST(ServeEngine, ExploreReportsIncrementalReuseAndStatusRollsItUp) {
     EXPECT_NE(status.find("\"dse\":{\"explores\":0"), std::string::npos)
         << status;
 
-    // Cold explore: fresh simulations, nonzero partial reuse, per-request
-    // stats in the response (verify_full exercises the oracle path too).
+    // Cold explore: fresh simulations in nonzero chunks, per-request stats
+    // in the response (verify_full exercises the oracle path too).
     std::string cold = engine.handle(
         "{\"method\":\"explore\",\"id\":1,\"model_hash\":\"" + resident->hash +
         "\",\"params\":{\"jobs\":1,\"verify_full\":true}}");
     ASSERT_TRUE(response_ok(cold)) << cold;
-    EXPECT_NE(cold.find("\"partial_reuse\":"), std::string::npos) << cold;
-    EXPECT_NE(cold.find("\"prefix_tasks_reused\":"), std::string::npos) << cold;
-    EXPECT_EQ(cold.find("\"partial_reuse\":0,"), std::string::npos) << cold;
+    for (const char* field :
+         {"\"simulations\":", "\"cache_hits\":0,", "\"duplicates_skipped\":",
+          "\"prefix_tasks_reused\":", "\"chunks\":", "\"verified\":",
+          "\"jobs\":1}"})
+        EXPECT_NE(cold.find(field), std::string::npos) << field << cold;
+    EXPECT_EQ(cold.find("\"simulations\":0,"), std::string::npos) << cold;
+    EXPECT_EQ(cold.find("\"chunks\":0,"), std::string::npos) << cold;
     EXPECT_EQ(cold.find("\"verified\":0"), std::string::npos) << cold;
 
     // Warm explore: the memo serves everything — zero simulations.
@@ -285,7 +289,7 @@ TEST(ServeEngine, ExploreReportsIncrementalReuseAndStatusRollsItUp) {
         << warm;
 
     // Status rolls both up: 2 explores; "last" shows the warm request
-    // (cache hits, no partial reuse).
+    // (cache hits, no prefix reuse).
     status = engine.handle("{\"method\":\"status\",\"id\":3}");
     ASSERT_TRUE(response_ok(status)) << status;
     EXPECT_NE(status.find("\"dse\":{\"explores\":2"), std::string::npos)
@@ -493,6 +497,30 @@ TEST_F(ServerFixture, OversizedFrameGetsStructuredRejection) {
     ASSERT_GE(fd2, 0);
     EXPECT_TRUE(response_ok(rpc(fd2, "{\"method\":\"ping\",\"id\":1}")));
     ::close(fd2);
+    server.stop();
+}
+
+TEST_F(ServerFixture, DeeplyNestedModelIsAnErrorAndTheDaemonSurvives) {
+    serve::ServerOptions options;
+    options.socket_path = socket_path();
+    serve::Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+
+    // A 30,000-deep model overflowed the XML parser's stack and took the
+    // whole daemon down; it must be one request's structured error.
+    std::string deep;
+    for (int i = 0; i < 30000; ++i) deep += "<a>";
+    for (int i = 0; i < 30000; ++i) deep += "</a>";
+    int fd = connect_unix(options.socket_path);
+    ASSERT_GE(fd, 0);
+    std::string response =
+        rpc(fd, "{\"method\":\"generate\",\"id\":1,\"model_xmi\":\"" + deep +
+                    "\"}");
+    EXPECT_EQ(error_code(response), "serve.model-invalid") << response;
+    EXPECT_NE(response.find("xml.depth"), std::string::npos) << response;
+    EXPECT_TRUE(response_ok(rpc(fd, "{\"method\":\"ping\",\"id\":2}")));
+    ::close(fd);
     server.stop();
 }
 

@@ -21,7 +21,7 @@
 //                                           cache (see DESIGN.md §12)
 //   uhcg campaign <manifest.json> [options] supervised sharded sweep over a
 //                                           models × strategies × cost-models
-//                                           × backends matrix with per-job
+//                                           matrix with per-job
 //                                           quarantine and a crash-safe
 //                                           --resume journal (DESIGN.md §15)
 //   uhcg synth-corpus <out-dir> [options]   seeded deterministic UML/XMI
@@ -45,12 +45,6 @@
 //   --jobs <n>           explore: worker threads for candidate evaluation
 //                        (0 = all hardware threads; results are identical
 //                        for any value)
-//   --sim-backend <name> explore/generate: simulation backend pricing the
-//                        cost model — dynamic-fifo (default reference
-//                        engine), analytic (closed-form lower bound), sdf
-//                        (static-schedule pricing; falls back to
-//                        dynamic-fifo with a sim.backend-fallback warning
-//                        when the task graph is not single-rate)
 //   --mutations <n>      fuzz-xmi: number of mutants to run (default 70)
 //   --seed <n>           fuzz-xmi: deterministic corpus seed (default 1)
 //
@@ -200,8 +194,6 @@ struct Cli {
     // DSE (explore).
     std::size_t dse_chunk = 0;
     bool dse_verify_full = false;
-    // Simulation backend (explore, generate, serve).
-    std::string sim_backend;
     // Parallel generate dispatch (generate, campaign).
     std::size_t gen_jobs = 1;
     bool caam_c = true;
@@ -274,15 +266,7 @@ int usage(const char* argv0) {
            "                          0 = default; results are identical)\n"
            "         --dse-verify-full (explore: re-simulate every unique\n"
            "                            clustering from scratch and assert\n"
-           "                            the incremental metrics match; on an\n"
-           "                            exact non-default backend also cross-\n"
-           "                            check makespans against dynamic-fifo)\n"
-           "         --sim-backend <name> (explore/generate: cost-model\n"
-           "                          backend: dynamic-fifo (default),\n"
-           "                          analytic (fast lower bound), sdf\n"
-           "                          (static schedule; falls back with a\n"
-           "                          sim.backend-fallback warning when the\n"
-           "                          task graph is not single-rate))\n"
+           "                            the incremental metrics match)\n"
            "         --iterations <n> (threads command)\n"
            "         --mutations <n> --seed <n> (fuzz-xmi command)\n"
            "         --checkpoint-ttl-s <n> --checkpoint-max <n>\n"
@@ -362,10 +346,6 @@ bool parse_cli(int argc, char** argv, Cli& cli) {
             if (!next_number(cli.dse_chunk)) return false;
         } else if (arg == "--dse-verify-full") {
             cli.dse_verify_full = true;
-        } else if (arg == "--sim-backend") {
-            const char* v = next();
-            if (!v) return false;
-            cli.sim_backend = v;
         } else if (arg == "--iterations") {
             if (!next_number(cli.iterations)) return false;
         } else if (arg == "--mutations") {
@@ -594,7 +574,6 @@ int cmd_generate(const uml::Model& model, const Cli& cli,
     options.caam_c = cli.caam_c;
     options.caam_dot = cli.caam_dot;
     options.gen_jobs = cli.gen_jobs;
-    options.sim_backend = cli.sim_backend;
     options.resilience.retry.max_retries = cli.max_retries;
     options.resilience.retry.backoff_ms = cli.retry_backoff_ms;
     options.resilience.pass_budget.wall_ms = cli.pass_budget_ms;
@@ -753,14 +732,9 @@ int cmd_explore(const uml::Model& model, const Cli& cli,
     options.jobs = cli.jobs;
     options.chunk_size = cli.dse_chunk;
     options.verify_full = cli.dse_verify_full;
-    options.backend = cli.sim_backend;
     dse::ExploreResult result;
     try {
         result = dse::explore(model, comm, options, &engine);
-    } catch (const std::invalid_argument& e) {
-        // Unknown --sim-backend: a usage error, listing the known names.
-        std::cerr << "error: " << e.what() << '\n';
-        return kExitUsage;
     } catch (const std::exception& e) {
         // A model the sweep cannot explore (e.g. a cyclic task graph from a
         // closed control loop) is an input property, not an internal error.
@@ -779,16 +753,11 @@ int cmd_explore(const uml::Model& model, const Cli& cli,
     }
     std::cout << dse::format(result);
     const dse::ExploreStats& s = result.stats;
-    std::cout << "backend: " << s.backend;
-    if (s.effective_backend != s.backend)
-        std::cout << " (fell back to " << s.effective_backend << ")";
-    std::cout << '\n';
     std::cout << "evaluated with jobs=" << s.jobs << ": " << s.simulations
               << " simulated, " << s.duplicates_skipped
               << " duplicate clustering(s) skipped, " << s.cache_hits
               << " cache hit(s)\n"
-              << "incremental: " << s.partial_reuse
-              << " partial(s) reused, " << s.prefix_tasks_reused
+              << "incremental: " << s.prefix_tasks_reused
               << " schedule position(s) replayed across " << s.chunks
               << " chunk(s)\n";
     if (s.verified)
