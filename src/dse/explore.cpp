@@ -212,17 +212,20 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
     //    fixed order the result exposes. Unbounded linear clustering picks
     //    its own processor count — the §4.2.3 default — and anchors the
     //    sweep; the per-budget strategies and random samples add diversity.
+    //    Every linear entry folds the one critical-path sequence extracted
+    //    in step 2 (the sequence does not depend on the budget).
+    taskgraph::CriticalPaths paths;
     std::vector<Descriptor> plan;
     plan.reserve(2 + max_cpus * (3 + options.random_samples));
-    plan.push_back(
-        {"linear", [&graph] { return taskgraph::linear_clustering(graph); }});
+    plan.push_back({"linear", [&graph, &paths] {
+                        return taskgraph::fold_critical_paths(graph, paths);
+                    }});
     plan.push_back(
         {"dsc", [&graph] { return taskgraph::dsc_clustering(graph); }});
     for (std::size_t k = 1; k <= max_cpus; ++k) {
-        plan.push_back({"linear/k", [&graph, k] {
-                            taskgraph::LinearClusteringOptions lc;
-                            lc.max_clusters = k;
-                            return taskgraph::linear_clustering(graph, lc);
+        plan.push_back({"linear/k", [&graph, &paths, k] {
+                            return taskgraph::fold_critical_paths(graph, paths,
+                                                                  {k});
                         }});
         plan.push_back({"load-balance", [&graph, k] {
                             return taskgraph::load_balance_clustering(graph, k);
@@ -237,12 +240,13 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
                             }});
     }
 
-    // 2. Build the clusterings (each generator is independent and reads the
-    //    graph only).
+    // 2. Extract the critical paths once, then build the clusterings (each
+    //    generator is independent and reads the graph and paths only).
     std::vector<taskgraph::Clustering> clusterings(plan.size(),
                                                    taskgraph::Clustering(0));
     {
         obs::ObsSpan span("dse.cluster-sweep");
+        paths = taskgraph::extract_critical_paths(graph);
         core::parallel_for(plan.size(), jobs, [&](std::size_t i) {
             clusterings[i] = plan[i].make();
         });

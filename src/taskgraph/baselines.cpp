@@ -1,9 +1,12 @@
 #include "taskgraph/baselines.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
+#include <queue>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 namespace uhcg::taskgraph {
 namespace {
@@ -44,13 +47,17 @@ Clustering load_balance_clustering(const TaskGraph& graph, std::size_t k) {
     std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
         return graph.weight(a) > graph.weight(b);
     });
-    std::vector<double> load(k, 0.0);
+    // (load, cluster) pairs, least first: the top is the first cluster
+    // with the minimum load.
+    using Load = std::pair<double, int>;
+    std::priority_queue<Load, std::vector<Load>, std::greater<>> lightest;
+    for (std::size_t c = 0; c < k; ++c) lightest.emplace(0.0, static_cast<int>(c));
     std::vector<int> assignment(graph.task_count(), 0);
     for (std::size_t t : order) {
-        std::size_t lightest =
-            std::min_element(load.begin(), load.end()) - load.begin();
-        assignment[t] = static_cast<int>(lightest);
-        load[lightest] += graph.weight(t);
+        auto [load, cluster] = lightest.top();
+        lightest.pop();
+        assignment[t] = cluster;
+        lightest.emplace(load + graph.weight(t), cluster);
     }
     return Clustering::from_assignment(std::move(assignment));
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -37,12 +36,19 @@ std::vector<std::vector<TaskIndex>> Clustering::groups() const {
 }
 
 void Clustering::normalize() {
-    std::map<int, int> remap;
+    int max_id = -1;
+    for (int id : assignment_) {
+        if (id < 0)
+            throw std::invalid_argument("negative cluster id " +
+                                        std::to_string(id));
+        max_id = std::max(max_id, id);
+    }
+    std::vector<int> remap(static_cast<std::size_t>(max_id + 1), -1);
     int next = 0;
     for (int& id : assignment_) {
-        auto [it, inserted] = remap.emplace(id, next);
-        if (inserted) ++next;
-        id = it->second;
+        int& dense = remap[static_cast<std::size_t>(id)];
+        if (dense < 0) dense = next++;
+        id = dense;
     }
     cluster_count_ = next;
 }

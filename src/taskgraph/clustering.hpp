@@ -19,7 +19,8 @@ public:
     /// Creates the discrete clustering: every task in its own cluster.
     explicit Clustering(std::size_t task_count);
     /// Builds from an explicit assignment vector (task → cluster id). Ids
-    /// are normalized to a dense 0..k-1 range preserving first appearance.
+    /// are normalized to a dense 0..k-1 range preserving first appearance;
+    /// a negative id throws std::invalid_argument.
     static Clustering from_assignment(std::vector<int> assignment);
 
     std::size_t task_count() const { return assignment_.size(); }
@@ -35,6 +36,7 @@ public:
     /// Tasks per cluster, cluster id order.
     std::vector<std::vector<TaskIndex>> groups() const;
     /// Re-numbers ids densely in order of first appearance by task index.
+    /// Throws std::invalid_argument on a negative id.
     void normalize();
 
 private:

@@ -1,6 +1,8 @@
 #include "taskgraph/graph.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 #include <stdexcept>
 
 namespace uhcg::taskgraph {
@@ -75,18 +77,18 @@ bool TaskGraph::is_acyclic() const {
 std::vector<TaskIndex> TaskGraph::topological_order() const {
     std::vector<std::size_t> indegree(task_count());
     for (const Edge& e : edges_) ++indegree[e.to];
-    // Use a FIFO over task index so the order is deterministic.
+    // Always pop the smallest ready index so the order is deterministic.
     std::vector<TaskIndex> order;
-    std::vector<TaskIndex> ready;
+    order.reserve(task_count());
+    std::priority_queue<TaskIndex, std::vector<TaskIndex>, std::greater<>> ready;
     for (TaskIndex t = 0; t < task_count(); ++t)
-        if (indegree[t] == 0) ready.push_back(t);
+        if (indegree[t] == 0) ready.push(t);
     while (!ready.empty()) {
-        auto it = std::min_element(ready.begin(), ready.end());
-        TaskIndex t = *it;
-        ready.erase(it);
+        TaskIndex t = ready.top();
+        ready.pop();
         order.push_back(t);
         for (std::size_t e : out_[t])
-            if (--indegree[edges_[e].to] == 0) ready.push_back(edges_[e].to);
+            if (--indegree[edges_[e].to] == 0) ready.push(edges_[e].to);
     }
     if (order.size() != task_count())
         throw std::logic_error("task graph contains a cycle");
@@ -129,7 +131,6 @@ double TaskGraph::critical_path_length() const {
 std::vector<TaskIndex> TaskGraph::critical_path() const {
     if (task_count() == 0) return {};
     auto blevel = bottom_levels();
-    auto tlevel = top_levels();
     // Start at a source maximizing tlevel+blevel (== blevel for sources).
     TaskIndex current = 0;
     double best = -1.0;
@@ -140,7 +141,6 @@ std::vector<TaskIndex> TaskGraph::critical_path() const {
             current = t;
         }
     }
-    (void)tlevel;
     std::vector<TaskIndex> path{current};
     for (;;) {
         // Follow the successor that continues the dominant path.

@@ -10,7 +10,14 @@
 //  * parallel (independent) tasks are separated into different clusters;
 //  * threads with heavy mutual data dependencies group together, cutting
 //    inter-processor traffic.
+//
+// The run splits into two steps. Extraction finds the sequence of critical
+// paths; it depends on the graph only, never on the processor budget.
+// Folding assigns those paths to at most k clusters. A sweep over budgets
+// (dse::explore) extracts once and folds once per budget.
 #pragma once
+
+#include <vector>
 
 #include "taskgraph/clustering.hpp"
 #include "taskgraph/graph.hpp"
@@ -25,7 +32,24 @@ struct LinearClusteringOptions {
     std::size_t max_clusters = 0;
 };
 
-/// Runs linear clustering; the result is deterministic for a given graph.
+/// The critical paths in extraction order, each source → sink. Path i is
+/// the longest node+edge path among the tasks paths 0..i-1 left unmarked
+/// (ties toward the smallest end index). With non-negative task weights
+/// they cover every task exactly once.
+using CriticalPaths = std::vector<std::vector<TaskIndex>>;
+
+/// Extracts the path sequence with one topological sort. Throws
+/// std::logic_error when the graph is cyclic.
+CriticalPaths extract_critical_paths(const TaskGraph& graph);
+
+/// Folds `paths` (from extract_critical_paths on `graph`) into clusters: a
+/// new cluster per path while under budget, otherwise the path joins the
+/// lightest cluster, ties toward the lowest id.
+Clustering fold_critical_paths(const TaskGraph& graph, const CriticalPaths& paths,
+                               const LinearClusteringOptions& options = {});
+
+/// Runs linear clustering (extract + fold); the result is deterministic for
+/// a given graph.
 Clustering linear_clustering(const TaskGraph& graph,
                              const LinearClusteringOptions& options = {});
 

@@ -16,7 +16,9 @@
 #include "core/parallel.hpp"
 #include "core/pipeline.hpp"
 #include "dse/explore.hpp"
+#include "obs/obs.hpp"
 #include "simulink/caam.hpp"
+#include "taskgraph/linear.hpp"
 
 namespace {
 
@@ -168,6 +170,42 @@ TEST(DseParallel, JobCountDoesNotChangeResults) {
             EXPECT_EQ(a.candidates[i].pareto, b.candidates[i].pareto);
         }
         EXPECT_EQ(a.stats.unique_clusterings, b.stats.unique_clusterings);
+    }
+}
+
+TEST(DseSweep, LinearEntriesEqualStandaloneLinearClustering) {
+    // The sweep extracts the critical paths once and folds them per
+    // budget; every linear entry must still be exactly the clustering a
+    // standalone linear_clustering call returns for that budget.
+    auto random40 = [] { return cases::random_application(5, 40, 4); };
+    auto random60 = [] { return cases::random_application(9, 60, 12); };
+    for (auto make : {std::function<uml::Model()>(&cases::synthetic_model),
+                      std::function<uml::Model()>(random40),
+                      std::function<uml::Model()>(random60)}) {
+        uml::Model model = make();
+        core::CommModel comm = core::analyze_communication(model);
+        taskgraph::TaskGraph graph = core::build_task_graph(model, comm);
+        obs::Counter& extractions = obs::counter("taskgraph.path_extractions");
+        const std::uint64_t before = extractions.value();
+        ExploreOptions options;
+        options.jobs = 4;
+        options.random_samples = 0;
+        ExploreResult r = explore(model, comm, options);
+        EXPECT_EQ(extractions.value() - before, 1u);
+        std::size_t k = 0;
+        for (const Candidate& c : r.candidates) {
+            if (c.strategy == "linear") {
+                EXPECT_EQ(c.fingerprint, clustering_fingerprint(
+                                             taskgraph::linear_clustering(graph)));
+            } else if (c.strategy == "linear/k") {
+                ++k;
+                EXPECT_EQ(c.fingerprint,
+                          clustering_fingerprint(
+                              taskgraph::linear_clustering(graph, {k})))
+                    << model.name() << " k=" << k;
+            }
+        }
+        EXPECT_EQ(k, graph.task_count());
     }
 }
 

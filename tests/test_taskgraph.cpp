@@ -3,6 +3,12 @@
 // sweeps over random DAGs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <numeric>
+#include <stdexcept>
+#include <vector>
+
 #include "taskgraph/baselines.hpp"
 #include "taskgraph/clustering.hpp"
 #include "taskgraph/dot.hpp"
@@ -101,6 +107,7 @@ TEST(Clustering, FromAssignmentNormalizes) {
     EXPECT_EQ(c.cluster_of(1), 1);
     EXPECT_EQ(c.cluster_of(2), 0);
     EXPECT_EQ(c.cluster_of(3), 2);
+    EXPECT_THROW(Clustering::from_assignment({0, -1, 1}), std::invalid_argument);
 }
 
 TEST(Clustering, CostMetricsPartitionTotal) {
@@ -364,6 +371,232 @@ TEST_P(MakespanProperty, MakespanBounds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MakespanProperty,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
+
+// --- reference oracles ----------------------------------------------------------------
+//
+// Straightforward earlier versions of the topological sort, linear clustering
+// and load balancing, kept here as independent oracles: the library versions
+// share one path extraction across budgets and use heaps, and must still
+// produce exactly these results.
+
+namespace reference {
+
+/// Kahn's algorithm, taking the smallest ready index by linear scan.
+std::vector<TaskIndex> topological_order(const TaskGraph& g) {
+    std::vector<std::size_t> indegree(g.task_count());
+    for (const Edge& e : g.edges()) ++indegree[e.to];
+    std::vector<TaskIndex> order;
+    std::vector<TaskIndex> ready;
+    for (TaskIndex t = 0; t < g.task_count(); ++t)
+        if (indegree[t] == 0) ready.push_back(t);
+    while (!ready.empty()) {
+        auto it = std::min_element(ready.begin(), ready.end());
+        TaskIndex t = *it;
+        ready.erase(it);
+        order.push_back(t);
+        for (std::size_t e : g.out_edges(t))
+            if (--indegree[g.edge(e).to] == 0) ready.push_back(g.edge(e).to);
+    }
+    return order;
+}
+
+/// Dense renumbering by first appearance through an ordered map.
+std::vector<int> normalized(std::vector<int> assignment) {
+    std::map<int, int> remap;
+    int next = 0;
+    for (int& id : assignment) {
+        auto [it, inserted] = remap.emplace(id, next);
+        if (inserted) ++next;
+        id = it->second;
+    }
+    return assignment;
+}
+
+/// Longest node+edge path over the unmarked tasks; ties toward the
+/// smallest end index.
+std::vector<TaskIndex> restricted_critical_path(const TaskGraph& g,
+                                                const std::vector<TaskIndex>& order,
+                                                const std::vector<bool>& marked) {
+    const std::size_t n = g.task_count();
+    std::vector<double> best(n, -1.0);
+    std::vector<std::ptrdiff_t> pred(n, -1);
+    for (TaskIndex t : order) {
+        if (marked[t]) continue;
+        best[t] = std::max(best[t], g.weight(t));
+        for (std::size_t e : g.out_edges(t)) {
+            const Edge& edge = g.edge(e);
+            if (marked[edge.to]) continue;
+            double candidate = best[t] + edge.cost + g.weight(edge.to);
+            if (candidate > best[edge.to]) {
+                best[edge.to] = candidate;
+                pred[edge.to] = static_cast<std::ptrdiff_t>(t);
+            }
+        }
+    }
+    std::ptrdiff_t end = -1;
+    double best_len = -1.0;
+    for (TaskIndex t = 0; t < n; ++t) {
+        if (marked[t]) continue;
+        if (best[t] > best_len + 1e-12) {
+            best_len = best[t];
+            end = static_cast<std::ptrdiff_t>(t);
+        }
+    }
+    std::vector<TaskIndex> path;
+    for (std::ptrdiff_t t = end; t >= 0; t = pred[t])
+        path.push_back(static_cast<TaskIndex>(t));
+    std::reverse(path.begin(), path.end());
+    return path;
+}
+
+/// Linear clustering that re-extracts every path from scratch for the
+/// given budget and folds by scanning for the lightest cluster. The
+/// topological order is a function of the graph alone, so computing it once
+/// per call gives the same paths as recomputing it per path.
+std::vector<int> linear_clustering(const TaskGraph& g, std::size_t max_clusters) {
+    const std::size_t n = g.task_count();
+    const std::vector<TaskIndex> order = topological_order(g);
+    std::vector<bool> marked(n, false);
+    std::vector<int> assignment(n, -1);
+    std::vector<double> cluster_weight;
+    int next_cluster = 0;
+    for (;;) {
+        std::vector<TaskIndex> path = restricted_critical_path(g, order, marked);
+        if (path.empty()) break;
+        double path_weight = 0.0;
+        for (TaskIndex t : path) path_weight += g.weight(t);
+        int cluster;
+        if (max_clusters != 0 &&
+            static_cast<std::size_t>(next_cluster) >= max_clusters) {
+            cluster = 0;
+            for (int c = 1; c < next_cluster; ++c)
+                if (cluster_weight[c] < cluster_weight[cluster]) cluster = c;
+            cluster_weight[cluster] += path_weight;
+        } else {
+            cluster = next_cluster++;
+            cluster_weight.push_back(path_weight);
+        }
+        for (TaskIndex t : path) {
+            assignment[t] = cluster;
+            marked[t] = true;
+        }
+    }
+    return normalized(std::move(assignment));
+}
+
+/// Heaviest task first onto the first least-loaded cluster (linear scan).
+std::vector<int> load_balance_clustering(const TaskGraph& g, std::size_t k) {
+    std::vector<std::size_t> order(g.task_count());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return g.weight(a) > g.weight(b);
+    });
+    std::vector<double> load(k, 0.0);
+    std::vector<int> assignment(g.task_count(), 0);
+    for (std::size_t t : order) {
+        std::size_t lightest =
+            std::min_element(load.begin(), load.end()) - load.begin();
+        assignment[t] = static_cast<int>(lightest);
+        load[lightest] += g.weight(t);
+    }
+    return normalized(std::move(assignment));
+}
+
+}  // namespace reference
+
+std::vector<int> assignment_of(const Clustering& c) {
+    std::vector<int> out(c.task_count());
+    for (TaskIndex t = 0; t < c.task_count(); ++t) out[t] = c.cluster_of(t);
+    return out;
+}
+
+struct GraphShape {
+    std::size_t tasks;
+    std::size_t layers;
+    double edge_probability;
+    bool uniform;  ///< unit weights and costs: many equal-length paths
+};
+
+TaskGraph shaped_graph(const GraphShape& shape, std::uint64_t seed) {
+    RandomDagOptions options;
+    options.tasks = shape.tasks;
+    options.layers = shape.layers;
+    options.edge_probability = shape.edge_probability;
+    options.seed = seed;
+    if (shape.uniform) {
+        options.min_weight = options.max_weight = 1.0;
+        options.min_cost = options.max_cost = 1.0;
+    }
+    return random_layered_dag(options);
+}
+
+const GraphShape kSparse{200, 40, 0.05, false};
+const GraphShape kSparseUniform{160, 8, 0.03, true};
+const GraphShape kDense{60, 6, 0.6, false};
+const GraphShape kDenseUniform{90, 5, 0.5, true};
+
+TEST(ReferenceOracle, TopologicalOrderMatchesLinearScanKahn) {
+    // Wide layers with few edges: many tasks are ready at once, so the
+    // smallest-index rule decides most of the order.
+    for (const GraphShape& shape : {kSparse, kSparseUniform, kDense,
+                                    GraphShape{300, 3, 0.01, true}}) {
+        for (std::uint64_t seed : {1u, 7u, 42u}) {
+            TaskGraph g = shaped_graph(shape, seed);
+            EXPECT_EQ(g.topological_order(), reference::topological_order(g))
+                << "tasks=" << shape.tasks << " seed=" << seed;
+        }
+    }
+}
+
+TEST(ReferenceOracle, LinearClusteringMatchesRestartPerPathForEveryBudget) {
+    for (const GraphShape& shape : {kSparse, kSparseUniform, kDense, kDenseUniform}) {
+        for (std::uint64_t seed : {3u, 9u}) {
+            TaskGraph g = shaped_graph(shape, seed);
+            const CriticalPaths paths = extract_critical_paths(g);
+            for (std::size_t k = 0; k <= g.task_count(); ++k) {
+                std::vector<int> expected = reference::linear_clustering(g, k);
+                ASSERT_EQ(assignment_of(linear_clustering(g, {k})), expected)
+                    << "tasks=" << shape.tasks << " seed=" << seed << " k=" << k;
+                ASSERT_EQ(assignment_of(fold_critical_paths(g, paths, {k})),
+                          expected)
+                    << "tasks=" << shape.tasks << " seed=" << seed << " k=" << k;
+            }
+        }
+    }
+}
+
+TEST(ReferenceOracle, LoadBalanceMatchesLinearScanForEveryK) {
+    for (const GraphShape& shape : {kSparse, kDenseUniform}) {
+        TaskGraph g = shaped_graph(shape, 5);
+        for (std::size_t k = 1; k <= g.task_count(); ++k)
+            ASSERT_EQ(assignment_of(load_balance_clustering(g, k)),
+                      reference::load_balance_clustering(g, k))
+                << "tasks=" << shape.tasks << " k=" << k;
+    }
+}
+
+TEST(LinearClustering, ExtractedPathsPartitionTheTasks) {
+    TaskGraph g = shaped_graph(kDense, 11);
+    CriticalPaths paths = extract_critical_paths(g);
+    std::vector<int> seen(g.task_count(), 0);
+    for (const auto& path : paths) {
+        ASSERT_FALSE(path.empty());
+        for (std::size_t i = 0; i < path.size(); ++i) {
+            ++seen[path[i]];
+            if (i > 0) {
+                EXPECT_GT(g.edge_cost(path[i - 1], path[i]), 0.0);
+            }
+        }
+    }
+    EXPECT_EQ(seen, std::vector<int>(g.task_count(), 1));
+    // The first path is a critical path of the whole graph.
+    double length = 0.0;
+    for (std::size_t i = 0; i < paths.front().size(); ++i) {
+        length += g.weight(paths.front()[i]);
+        if (i > 0) length += g.edge_cost(paths.front()[i - 1], paths.front()[i]);
+    }
+    EXPECT_NEAR(length, g.critical_path_length(), 1e-9);
+}
 
 // --- DOT export ----------------------------------------------------------------------
 
