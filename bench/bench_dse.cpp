@@ -86,12 +86,6 @@ void speedup_section() {
                serial_result.stats.unique_clusterings);
     bench::row("duplicates skipped (dedup)",
                serial_result.stats.duplicates_skipped);
-    // Incremental-evaluation proof on the *cold* sweep: these depend only
-    // on the candidate set and chunk size, never on jobs or the machine,
-    // so they gate as exact determinism counters.
-    bench::row("prefix tasks reused (cold sweep)",
-               serial_result.stats.prefix_tasks_reused);
-    bench::row("sweep chunks (cold)", serial_result.stats.chunks);
     // Stable label on the parallel row ("jobs=N", not the runtime thread
     // count) so baseline comparisons work across machines — with the old
     // interpolated label a 1-core runner emitted "explore jobs=1 (ms)"

@@ -4,6 +4,7 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 namespace uhcg::core {
 
@@ -109,59 +110,65 @@ public:
 
     /// Finds one combinational cycle in `sys`; returns a Line on it to cut
     /// (the "data link where the loop is detected"). nullopt = acyclic.
+    /// Depth-first with an explicit stack of frames, so the depth of the
+    /// longest combinational chain never reaches the call stack; edges are
+    /// taken in dependency order, the order a recursive walk would use.
     std::optional<std::pair<Line*, PortRef>> find_cycle(const System& sys) {
         std::map<Atom, int> color;  // 0 white, 1 gray, 2 black
         std::vector<std::pair<Atom, Dep>> path;  // (atom, edge taken into it)
-
-        std::optional<std::pair<Line*, PortRef>> result;
-        auto dfs = [&](auto&& self, const Atom& a) -> bool {
+        struct Frame {
+            Atom atom;
+            std::vector<Dep> deps;
+            std::size_t next = 0;  ///< next dependency to examine
+        };
+        std::vector<Frame> stack;
+        auto enter = [&](const Atom& a) {
             color[a] = 1;
-            for (const Dep& d : dependencies(sys, a)) {
-                int c = color[d.to];
-                if (c == 1) {
-                    // Back edge: the cycle is d plus the path suffix from
-                    // d.to. Cut at the back edge when it is a line,
-                    // otherwise at the last line edge on the suffix.
-                    if (d.line) {
-                        result = {{d.line, d.line_dst}};
-                        return true;
-                    }
-                    for (auto it = path.rbegin(); it != path.rend(); ++it) {
-                        // The entry *for* d.to records the edge that led
-                        // into the cycle head — not a cycle edge; stop
-                        // before considering it.
-                        if (it->first == d.to) break;
-                        if (it->second.line) {
-                            result = {{it->second.line, it->second.line_dst}};
-                            return true;
-                        }
-                    }
-                    throw std::logic_error(
-                        "combinational cycle without any line edge");
-                }
-                if (c == 0) {
-                    path.emplace_back(d.to, d);
-                    if (self(self, d.to)) return true;
-                    path.pop_back();
-                }
-            }
-            color[a] = 2;
-            return false;
+            stack.push_back({a, dependencies(sys, a)});
         };
 
         for (const Block* b : sys.blocks()) {
             for (int p = 1; p <= b->output_count(); ++p) {
-                Atom a{b, p, true};
-                if (color[a] == 0) {
-                    path.clear();
-                    if (dfs(dfs, a)) return result;
+                Atom root{b, p, true};
+                if (color[root] != 0) continue;
+                path.clear();
+                enter(root);
+                while (!stack.empty()) {
+                    Frame& top = stack.back();
+                    if (top.next == top.deps.size()) {
+                        color[top.atom] = 2;
+                        stack.pop_back();
+                        if (!stack.empty()) path.pop_back();
+                        continue;
+                    }
+                    const Dep d = top.deps[top.next++];
+                    int c = color[d.to];
+                    if (c == 1) {
+                        // Back edge: the cycle is d plus the path suffix
+                        // from d.to. Cut at the back edge when it is a
+                        // line, otherwise at the last line edge on the
+                        // suffix.
+                        if (d.line) return {{d.line, d.line_dst}};
+                        for (auto it = path.rbegin(); it != path.rend(); ++it) {
+                            // The entry *for* d.to records the edge that
+                            // led into the cycle head — not a cycle edge;
+                            // stop before considering it.
+                            if (it->first == d.to) break;
+                            if (it->second.line)
+                                return {{it->second.line, it->second.line_dst}};
+                        }
+                        throw std::logic_error(
+                            "combinational cycle without any line edge");
+                    }
+                    if (c == 0) {
+                        path.emplace_back(d.to, d);
+                        enter(d.to);
+                    }
                 }
             }
         }
         return std::nullopt;
     }
-
-    void invalidate() { reach_memo_.clear(); }
 
 private:
     std::map<const Block*, std::vector<std::vector<bool>>> reach_memo_;

@@ -115,19 +115,6 @@ void parallel_for(std::size_t count, std::size_t jobs,
     if (first_error) std::rethrow_exception(first_error);
 }
 
-void parallel_for_chunked(std::size_t count, std::size_t jobs,
-                          std::size_t chunk,
-                          const std::function<void(std::size_t, std::size_t)>& body) {
-    if (count == 0) return;
-    if (chunk == 0) chunk = kDefaultChunkSize;
-    const std::size_t chunks = (count + chunk - 1) / chunk;
-    parallel_for(chunks, jobs, [&](std::size_t ci) {
-        std::size_t begin = ci * chunk;
-        std::size_t end = std::min(count, begin + chunk);
-        body(begin, end);
-    });
-}
-
 bool parallel_for(std::size_t count, std::size_t jobs,
                   const std::function<void(std::size_t)>& body,
                   diag::DiagnosticEngine& engine, std::string code) {

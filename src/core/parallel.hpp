@@ -99,20 +99,4 @@ bool parallel_for(std::size_t count, std::size_t jobs,
                   diag::DiagnosticEngine& engine,
                   std::string code = diag::codes::kCoreParallel);
 
-/// Default chunk size for parallel_for_chunked (0 ⇒ this value). Small
-/// enough to load-balance a few hundred items over a pool, large enough
-/// that per-chunk scratch (e.g. a sim::MpsocBatch) amortizes.
-inline constexpr std::size_t kDefaultChunkSize = 32;
-
-/// Chunked fork-join: invokes `body(begin, end)` once for every chunk
-/// [i·chunk, min(count, (i+1)·chunk)), distributing *chunks* over the
-/// pool. The chunk decomposition depends only on `count` and `chunk` —
-/// never on `jobs` — so per-chunk state (scratch buffers, incremental
-/// caches) produces identical results and identical reuse statistics for
-/// any job count. chunk = 0 selects kDefaultChunkSize. Exception policy
-/// matches parallel_for (lowest failing chunk wins).
-void parallel_for_chunked(std::size_t count, std::size_t jobs,
-                          std::size_t chunk,
-                          const std::function<void(std::size_t, std::size_t)>& body);
-
 }  // namespace uhcg::core

@@ -160,6 +160,11 @@ SimulationCache& cache() {
     return instance;
 }
 
+/// Candidates per pool task in the simulate sweep: enough that one
+/// MpsocBatch's scratch amortizes, few enough to balance a few hundred
+/// candidates over the pool.
+constexpr std::size_t kSimulateGroup = 32;
+
 /// One planned (strategy, budget, seed) candidate: name + how to build it.
 struct Descriptor {
     std::string strategy;
@@ -272,9 +277,9 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
     // 4. Prepare the graph once (the per-(graph, params) precomputation,
     //    shared read-only by every worker), probe the memo cache per unique
     //    clustering, then fan the surviving evaluations out across the
-    //    pool in *chunks*: each chunk owns one MpsocBatch (schedule-prefix
-    //    reuse between consecutive candidates), so a pool task amortizes
-    //    dispatch over `chunk` candidates.
+    //    pool in fixed groups of kSimulateGroup: each group owns one
+    //    MpsocBatch, so its scratch buffers are allocated once per group
+    //    rather than once per candidate.
     const sim::MpsocPrep prep(graph, options.cost_model);
     const std::uint64_t graph_fp = graph_fingerprint(graph);
     const std::uint64_t params_fp = params_fingerprint(options.cost_model);
@@ -286,48 +291,30 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
         if (!cache().lookup(key, unique_results[slot]))
             to_simulate.push_back(slot);
     }
-    // Locality order: neighbors (same strategy, adjacent budgets) differ by
-    // few task moves, so placing them consecutively in a chunk maximizes
-    // prefix reuse. Purely an evaluation order — results land in
-    // fixed slots, so rankings stay byte-identical to the exhaustive path.
-    std::vector<std::size_t> sim_order = to_simulate;
-    std::sort(sim_order.begin(), sim_order.end(),
-              [&](std::size_t a, std::size_t b) {
-                  std::size_t ia = unique_index[a];
-                  std::size_t ib = unique_index[b];
-                  if (plan[ia].strategy != plan[ib].strategy)
-                      return plan[ia].strategy < plan[ib].strategy;
-                  int ka = clusterings[ia].cluster_count();
-                  int kb = clusterings[ib].cluster_count();
-                  if (ka != kb) return ka < kb;
-                  return ia < ib;
-              });
-    const std::size_t chunk = options.chunk_size == 0 ? core::kDefaultChunkSize
-                                                      : options.chunk_size;
-    const std::size_t num_chunks = (sim_order.size() + chunk - 1) / chunk;
-    std::vector<sim::BatchStats> chunk_stats(num_chunks);
     {
         obs::ObsSpan span("dse.simulate-sweep");
-        core::parallel_for_chunked(
-            sim_order.size(), jobs, chunk,
-            [&](std::size_t begin, std::size_t end) {
-                obs::ObsSpan chunk_span("sim.mpsoc-batch");
-                sim::MpsocBatch batch(prep);
-                for (std::size_t t = begin; t < end; ++t) {
-                    std::size_t slot = sim_order[t];
-                    unique_results[slot] =
-                        batch.evaluate(clusterings[unique_index[slot]]);
-                }
-                chunk_stats[begin / chunk] = batch.stats();
-            });
+        const std::size_t groups =
+            (to_simulate.size() + kSimulateGroup - 1) / kSimulateGroup;
+        core::parallel_for(groups, jobs, [&](std::size_t g) {
+            obs::ObsSpan group_span("sim.mpsoc-batch");
+            sim::MpsocBatch batch(prep);
+            const std::size_t end =
+                std::min(to_simulate.size(), (g + 1) * kSimulateGroup);
+            for (std::size_t t = g * kSimulateGroup; t < end; ++t) {
+                std::size_t slot = to_simulate[t];
+                unique_results[slot] =
+                    batch.evaluate(clusterings[unique_index[slot]]);
+            }
+        });
     }
     for (std::size_t slot : to_simulate)
         cache().insert({graph_fp, fingerprints[unique_index[slot]], params_fp},
                        unique_results[slot]);
 
-    // Optional oracle check: re-price every unique clustering from scratch
-    // (simulate_mpsoc, a chain-free batch of one) and require bitwise
-    // equality on every metric.
+    // Optional oracle check: re-price every unique clustering on a fresh
+    // evaluator (simulate_mpsoc, a batch of one) and require bitwise
+    // equality with the group evaluators, whose scratch carried over from
+    // earlier candidates.
     if (options.verify_full) {
         obs::ObsSpan span("dse.verify-full");
         core::parallel_for(unique_index.size(), jobs, [&](std::size_t slot) {
@@ -342,8 +329,8 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
                         fresh.cpu_busy == inc.cpu_busy;
             if (!same)
                 throw std::logic_error(
-                    "dse verify-full: incremental metrics diverge from full "
-                    "re-simulation (strategy " +
+                    "dse verify-full: sweep metrics diverge from a fresh "
+                    "simulation (strategy " +
                     plan[unique_index[slot]].strategy + ")");
         });
         result.stats.verified = unique_index.size();
@@ -367,15 +354,10 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
     result.stats.simulations = to_simulate.size();
     result.stats.cache_hits = unique_index.size() - to_simulate.size();
     result.stats.jobs = jobs;
-    result.stats.chunks = num_chunks;
-    for (const sim::BatchStats& s : chunk_stats)
-        result.stats.prefix_tasks_reused += s.prefix_tasks_reused;
     obs::counter("dse.candidates").add(result.stats.candidates);
     obs::counter("dse.cache_hits").add(result.stats.cache_hits);
     obs::counter("dse.simulations").add(result.stats.simulations);
     obs::counter("dse.duplicates_skipped").add(result.stats.duplicates_skipped);
-    obs::counter("dse.prefix_reuse").add(result.stats.prefix_tasks_reused);
-    obs::counter("dse.chunks").add(result.stats.chunks);
     if (result.stats.verified)
         obs::counter("dse.verified").add(result.stats.verified);
 

@@ -1,8 +1,11 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -72,6 +75,29 @@ double param_number(const obs::json::Value& doc, std::string_view key,
                     double fallback = 0.0) {
     const obs::json::Value* v = find_param(doc, key);
     return v && v->is_number() ? v->number : fallback;
+}
+
+/// A client error in one request param, answered as `serve.bad-request`.
+struct BadParam : std::runtime_error {
+    using std::runtime_error::runtime_error;
+};
+
+/// A count-like param (jobs, samples, budgets): a non-number keeps the
+/// fallback, as every param does; a negative, fractional or out-of-range
+/// number throws BadParam — casting it to an integer would be undefined.
+std::size_t param_count(const obs::json::Value& doc, std::string_view key,
+                        std::size_t fallback) {
+    const obs::json::Value* v = find_param(doc, key);
+    if (!v || !v->is_number()) return fallback;
+    const double x = v->number;
+    // 2^digits is exact in a double; every integral double below it fits.
+    const double limit =
+        std::ldexp(1.0, std::numeric_limits<std::size_t>::digits);
+    if (!(x >= 0.0 && x < limit && std::floor(x) == x))
+        throw BadParam("param '" + std::string(key) +
+                       "' must be a non-negative integer, got " +
+                       number_text(x));
+    return static_cast<std::size_t>(x);
 }
 
 bool param_bool(const obs::json::Value& doc, std::string_view key,
@@ -194,6 +220,9 @@ std::string Engine::handle(std::string_view request_json,
     std::string response;
     try {
         response = dispatch(id, method, doc, received, deadline_ms);
+    } catch (const BadParam& e) {
+        obs::counter("serve.bad_requests").add(1);
+        response = error_response(id, "serve.bad-request", e.what());
     } catch (const std::exception& e) {
         // Per-request fault isolation: whatever escaped, only this
         // request fails; the daemon keeps serving.
@@ -278,21 +307,16 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
                << ",\"budget_bytes\":" << cache.budget_bytes
                << ",\"hits\":" << cache.hits << ",\"misses\":" << cache.misses
                << ",\"evictions\":" << cache.evictions << "}";
-        // Explore reuse, server-side: memo hits say a request ran warm,
-        // prefix reuse says a cold sweep was still incremental. Always
-        // present (zeros before the first explore) so dashboards need no
-        // schema branch.
+        // Explore reuse, server-side: memo hits say a request ran warm.
+        // Always present (zeros before the first explore) so dashboards
+        // need no schema branch.
         {
             std::lock_guard<std::mutex> lock(dse_mutex_);
             result << ",\"dse\":{\"explores\":" << dse_totals_.explores
                    << ",\"total\":{\"simulations\":" << dse_totals_.simulations
                    << ",\"cache_hits\":" << dse_totals_.cache_hits
-                   << ",\"prefix_tasks_reused\":"
-                   << dse_totals_.prefix_tasks_reused
                    << "},\"last\":{\"simulations\":" << dse_last_.simulations
-                   << ",\"cache_hits\":" << dse_last_.cache_hits
-                   << ",\"prefix_tasks_reused\":"
-                   << dse_last_.prefix_tasks_reused << "}}";
+                   << ",\"cache_hits\":" << dse_last_.cache_hits << "}}";
         }
         // Per-category counter rollup: "xml.nodes_parsed" lands under
         // "xml", "serve.cache_hits" under "serve" — the status consumer's
@@ -379,18 +403,15 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
     if (method == "generate") {
         flow::GenerateOptions options;
         options.mapper.auto_allocate = param_bool(doc, "auto_allocate", false);
-        options.mapper.max_processors = static_cast<std::size_t>(
-            param_number(doc, "max_processors", 0));
-        options.iterations =
-            static_cast<std::size_t>(param_number(doc, "iterations", 100));
+        options.mapper.max_processors = param_count(doc, "max_processors", 0);
+        options.iterations = param_count(doc, "iterations", 100);
         options.with_kpn = param_bool(doc, "with_kpn", false);
         options.caam_c = param_bool(doc, "caam_c", true);
         options.caam_dot = param_bool(doc, "caam_dot", true);
-        options.gen_jobs =
-            static_cast<std::size_t>(param_number(doc, "gen_jobs", 1));
+        options.gen_jobs = param_count(doc, "gen_jobs", 1);
         options.resilience.model_bytes = resident->bytes;
-        options.resilience.pass_budget.wall_ms = static_cast<std::uint64_t>(
-            param_number(doc, "pass_budget_ms", 0));
+        options.resilience.pass_budget.wall_ms =
+            param_count(doc, "pass_budget_ms", 0);
         if (remaining_ms &&
             (!options.resilience.pass_budget.wall_ms ||
              options.resilience.pass_budget.wall_ms > remaining_ms))
@@ -460,13 +481,9 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
 
     if (method == "explore") {
         dse::ExploreOptions options;
-        options.max_processors = static_cast<std::size_t>(
-            param_number(doc, "max_processors", 0));
-        options.jobs = static_cast<std::size_t>(param_number(doc, "jobs", 1));
-        options.random_samples = static_cast<std::size_t>(
-            param_number(doc, "random_samples", 3));
-        options.chunk_size =
-            static_cast<std::size_t>(param_number(doc, "chunk", 0));
+        options.max_processors = param_count(doc, "max_processors", 0);
+        options.jobs = param_count(doc, "jobs", 1);
+        options.random_samples = param_count(doc, "random_samples", 3);
         options.verify_full = param_bool(doc, "verify_full", false);
         dse::ExploreResult result;
         try {
@@ -495,20 +512,15 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
         r << "],\"stats\":{\"simulations\":" << result.stats.simulations
           << ",\"cache_hits\":" << result.stats.cache_hits
           << ",\"duplicates_skipped\":" << result.stats.duplicates_skipped
-          << ",\"prefix_tasks_reused\":" << result.stats.prefix_tasks_reused
-          << ",\"chunks\":" << result.stats.chunks
           << ",\"verified\":" << result.stats.verified
           << ",\"jobs\":" << result.stats.jobs << "}}";
         {
             std::lock_guard<std::mutex> lock(dse_mutex_);
             dse_last_ = DseActivity{0, result.stats.simulations,
-                                    result.stats.cache_hits,
-                                    result.stats.prefix_tasks_reused};
+                                    result.stats.cache_hits};
             ++dse_totals_.explores;
             dse_totals_.simulations += result.stats.simulations;
             dse_totals_.cache_hits += result.stats.cache_hits;
-            dse_totals_.prefix_tasks_reused +=
-                result.stats.prefix_tasks_reused;
         }
         return finish(ok_head(cache_state, resident->hash), r.str());
     }
@@ -519,8 +531,7 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
         param_number(doc, "cycles_per_work", params.cycles_per_work);
     params.gfifo_cost_per_byte = param_number(doc, "gfifo_cost_per_byte",
                                               params.gfifo_cost_per_byte);
-    std::size_t max_processors =
-        static_cast<std::size_t>(param_number(doc, "max_processors", 0));
+    std::size_t max_processors = param_count(doc, "max_processors", 0);
     sim::MpsocResult sim_result;
     try {
         taskgraph::TaskGraph graph =

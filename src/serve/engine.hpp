@@ -142,14 +142,12 @@ private:
 
     /// Per-explore reuse accounting (plain integers mirroring
     /// dse::ExploreStats) so `status` can show whether explore requests
-    /// run warm (memo hits) or cold-but-incremental (prefix reuse)
-    /// server-side. `totals` accumulate over the process; `last` is the
+    /// run warm (memo hits) server-side. `totals` accumulate over the process; `last` is the
     /// most recent explore request.
     struct DseActivity {
         std::uint64_t explores = 0;
         std::uint64_t simulations = 0;
         std::uint64_t cache_hits = 0;
-        std::uint64_t prefix_tasks_reused = 0;
     };
     mutable std::mutex dse_mutex_;
     DseActivity dse_totals_;

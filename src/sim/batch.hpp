@@ -1,4 +1,4 @@
-// batch.hpp — incremental, batch-oriented MPSoC cost evaluation.
+// batch.hpp — batch-oriented MPSoC cost evaluation.
 //
 // The DSE sweep estimates hundreds of clusterings of the *same* task
 // graph under the *same* cost model; `simulate_mpsoc` re-derived the
@@ -8,17 +8,15 @@
 //  * `MpsocPrep` — the immutable per-(graph, params) precomputation
 //    (topological order/positions, per-task compute cycles, per-edge
 //    transfer prices), built once and shared read-only by every worker;
-//  * `MpsocBatch` — a per-worker evaluator that carries scratch buffers
-//    and one reuse layer across consecutive candidates, schedule-prefix
-//    reuse: neighboring clusterings differ in a few task assignments, and
-//    every scan quantity at a topological position depends only on
-//    assignments at or before the first affected position — so the timed
-//    scan resumes there instead of at zero.
+//  * `MpsocBatch` — a per-worker evaluator whose only state between
+//    candidates is its scratch buffers (labels, member lists, finish
+//    times, edge arrivals), so a group of candidates pays for those
+//    allocations once. Every evaluation runs the full timed scan from
+//    position 0.
 //
-// The reuse is exact: an incremental evaluation is bitwise identical to a
-// fresh one (a resumed scan replays the same operations from identical
-// state). `simulate_mpsoc` is the chain-free special case, which makes it
-// the natural oracle for `dse` verify mode.
+// An evaluation is bitwise identical to a fresh one whatever ran before
+// it; `simulate_mpsoc` is the batch of one, which makes it the natural
+// oracle for `dse` verify mode.
 #pragma once
 
 #include <cstddef>
@@ -29,13 +27,6 @@
 #include "taskgraph/graph.hpp"
 
 namespace uhcg::sim {
-
-/// Reuse accounting for one MpsocBatch (one chunk of a sweep).
-struct BatchStats {
-    std::size_t evaluated = 0;           ///< clusterings priced
-    std::size_t prefix_tasks_reused = 0; ///< scan positions replayed from the
-                                         ///< previous candidate's schedule
-};
 
 /// Immutable per-(graph, cost-model) precomputation. Throws
 /// std::logic_error when the graph is cyclic (no topological order), the
@@ -52,15 +43,13 @@ private:
     const taskgraph::TaskGraph* graph_;
     MpsocParams params_;
     std::vector<taskgraph::TaskIndex> topo_;  ///< position → task
-    std::vector<std::size_t> pos_;            ///< task → position
     std::vector<double> work_;                ///< weight × cycles_per_work
     std::vector<double> sw_delay_;            ///< per edge: cost × swfifo
     std::vector<double> bus_duration_;        ///< per edge: setup + cost × gfifo
 };
 
-/// Per-worker incremental evaluator. Not thread-safe; create one per
-/// chunk/worker and feed it candidates in locality order (neighbors
-/// adjacent) to maximize reuse. Results do not depend on that order.
+/// Per-worker evaluator. Not thread-safe; create one per group of
+/// candidates and worker.
 class MpsocBatch {
 public:
     explicit MpsocBatch(const MpsocPrep& prep);
@@ -70,28 +59,16 @@ public:
     /// history of prior calls.
     MpsocResult evaluate(const taskgraph::Clustering& clustering);
 
-    /// Forgets the previous candidate: the next evaluate() runs a full
-    /// scan.
-    void break_chain() { has_prev_ = false; }
-
-    const BatchStats& stats() const { return stats_; }
-
 private:
-    std::size_t resume_position() const;
-
     const MpsocPrep& prep_;
-    BatchStats stats_;
 
-    // Scratch, persistent across evaluate() calls (the delta chain).
-    bool has_prev_ = false;
-    std::vector<int> canon_prev_;  ///< previous canonical assignment
-    std::vector<int> canon_cur_;
-    std::vector<int> dense_;       ///< raw cluster id → canonical id
+    // Scratch, reused across evaluate() calls.
+    std::vector<int> canon_;  ///< task → canonical cluster id
+    std::vector<int> dense_;  ///< raw cluster id → canonical id
     std::vector<std::vector<taskgraph::TaskIndex>> members_;
     std::vector<double> finish_;        ///< per task
     std::vector<double> edge_arrival_;  ///< per edge
-    std::vector<double> bus_free_at_;   ///< per position, post-pricing
-    std::vector<double> cpu_free_;      ///< per cluster, rebuilt on resume
+    std::vector<double> cpu_free_;      ///< per cluster
 };
 
 }  // namespace uhcg::sim

@@ -13,7 +13,7 @@ MpsocResult simulate_mpsoc(const taskgraph::TaskGraph& graph,
     obs::ObsSpan span("sim.mpsoc");
     // One-shot = a batch of one. There is a single pricing implementation,
     // which is what lets `--dse-verify-full` treat this call as the
-    // from-scratch oracle for incremental results.
+    // fresh-evaluator oracle for the sweep's reused evaluators.
     MpsocPrep prep(graph, params);
     MpsocBatch batch(prep);
     return batch.evaluate(clustering);

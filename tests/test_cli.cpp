@@ -239,6 +239,19 @@ TEST_F(CliTest, ExitTwoOnUsageError) {
     EXPECT_EQ(run_code("frobnicate mixed.xmi"), 2);
 }
 
+TEST_F(CliTest, NegativeNumericOptionIsAUsageError) {
+    // strtoull would wrap "-1" to 2^64-1 and ask for that many models.
+    std::string out;
+    EXPECT_EQ(run_code("synth-corpus neg_corpus --corpus-models -1", &out), 2);
+    EXPECT_NE(out.find("option --corpus-models needs a number, got '-1'"),
+              std::string::npos)
+        << out;
+    EXPECT_FALSE(fs::exists(dir / "neg_corpus"));
+    EXPECT_EQ(run_code("explore synthetic.xmi --jobs -4", &out), 2);
+    EXPECT_EQ(run_code("explore synthetic.xmi --jobs +4", &out), 2);
+    EXPECT_EQ(run_code("explore synthetic.xmi --jobs 4", &out), 0) << out;
+}
+
 TEST_F(CliTest, ExitThreeOnPartialSuccessWithManifestAndSurvivors) {
     std::string out;
     EXPECT_EQ(run_code("generate mixed.xmi --out gen_part "

@@ -1,6 +1,11 @@
 // Tests for the §4.2 optimizations: channel inference (§4.2.1) and
 // temporal-barrier insertion (§4.2.2).
 #include <gtest/gtest.h>
+#include <pthread.h>
+
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "cases/cases.hpp"
 #include "core/delays.hpp"
@@ -258,6 +263,49 @@ TEST(TemporalBarriers, CraneLoopBrokenAtCpuLevel) {
     // T1→T2→T3→T1 loop through the SWFIFO channels.
     Block* cpu1 = simulink::cpu_subsystems(caam)[0];
     EXPECT_FALSE(cpu1->system()->blocks_of(BlockType::UnitDelay).empty());
+}
+
+/// Runs `body` to completion on a thread whose stack is `stack_bytes`
+/// long, so a test can show that a pass does not recurse once per input
+/// element. Returns false when the thread could not be created.
+bool run_with_stack(std::size_t stack_bytes, std::function<void()> body) {
+    pthread_attr_t attr;
+    if (pthread_attr_init(&attr) != 0) return false;
+    bool started = pthread_attr_setstacksize(&attr, stack_bytes) == 0;
+    pthread_t thread;
+    if (started)
+        started = pthread_create(
+                      &thread, &attr,
+                      [](void* arg) -> void* {
+                          (*static_cast<std::function<void()>*>(arg))();
+                          return nullptr;
+                      },
+                      &body) == 0;
+    if (started) pthread_join(thread, nullptr);
+    pthread_attr_destroy(&attr);
+    return started;
+}
+
+TEST(TemporalBarriers, DeepRingNeedsNoDeepStack) {
+    // A ring of 5,000 Gain blocks is one combinational path 10,000 atoms
+    // long. The cycle search must walk it on a 1 MiB stack.
+    constexpr int kRing = 5000;
+    simulink::Model m("ring");
+    std::vector<Block*> gains;
+    for (int i = 0; i < kRing; ++i)
+        gains.push_back(
+            &m.root().add_block("g" + std::to_string(i), BlockType::Gain));
+    for (int i = 0; i < kRing; ++i)
+        m.root().add_line({gains[i], 1}, {gains[(i + 1) % kRing], 1});
+
+    std::size_t inserted = 0;
+    bool cycle_left = true;
+    ASSERT_TRUE(run_with_stack(1u << 20, [&] {
+        inserted = insert_temporal_barriers(m).inserted;
+        cycle_left = has_combinational_cycle(m);
+    }));
+    EXPECT_EQ(inserted, 1u);
+    EXPECT_FALSE(cycle_left);
 }
 
 TEST(TemporalBarriers, AcyclicModelUntouched) {

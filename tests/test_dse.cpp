@@ -3,17 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "cases/cases.hpp"
-#include "core/parallel.hpp"
 #include "core/pipeline.hpp"
 #include "dse/explore.hpp"
 #include "obs/obs.hpp"
@@ -299,147 +295,54 @@ TEST(Dse, RandomApplicationsExploreCleanly) {
     }
 }
 
-// --- incremental evaluation (chunked batches, partial/prefix reuse) ----------
+// --- the grouped simulate sweep -----------------------------------------------
 
-TEST(DseIncremental, ChunkSizeAndJobsDoNotChangeResults) {
-    // The acceptance bar for the incremental sweep: byte-identical
-    // rankings for any (jobs, chunk_size) combination — including chunk
-    // sizes of 1 (no intra-chunk reuse at all) and larger than the sweep.
+TEST(DseSweep, JobsDoNotChangeResults) {
+    // Byte-identical rankings for any job count: the sweep's fixed groups
+    // and per-slot results make the fan-out invisible in the output.
     uml::Model app = cases::random_application(5, 16, 4);
     core::CommModel comm = core::analyze_communication(app);
     ExploreOptions reference;
     reference.jobs = 1;
-    reference.chunk_size = 1;
     clear_simulation_cache();
     ExploreResult ref = explore(app, comm, reference);
-    for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-        for (std::size_t chunk : {std::size_t{0}, std::size_t{7},
-                                  std::size_t{10000}}) {
-            ExploreOptions options;
-            options.jobs = jobs;
-            options.chunk_size = chunk;
-            clear_simulation_cache();
-            ExploreResult r = explore(app, comm, options);
-            EXPECT_EQ(format(ref), format(r))
-                << "jobs=" << jobs << " chunk=" << chunk;
-            EXPECT_EQ(ref.best, r.best);
-            EXPECT_EQ(ref.pareto_front, r.pareto_front);
-            ASSERT_EQ(ref.candidates.size(), r.candidates.size());
-            for (std::size_t i = 0; i < ref.candidates.size(); ++i) {
-                // Bitwise, not approximate: the incremental path must
-                // replay the exact arithmetic of the from-scratch path.
-                EXPECT_EQ(ref.candidates[i].makespan, r.candidates[i].makespan);
-                EXPECT_EQ(ref.candidates[i].inter_traffic,
-                          r.candidates[i].inter_traffic);
-                EXPECT_EQ(ref.candidates[i].bus_busy, r.candidates[i].bus_busy);
-            }
+    for (std::size_t jobs : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+        ExploreOptions options;
+        options.jobs = jobs;
+        clear_simulation_cache();
+        ExploreResult r = explore(app, comm, options);
+        EXPECT_EQ(format(ref), format(r)) << "jobs=" << jobs;
+        EXPECT_EQ(ref.best, r.best);
+        EXPECT_EQ(ref.pareto_front, r.pareto_front);
+        ASSERT_EQ(ref.candidates.size(), r.candidates.size());
+        for (std::size_t i = 0; i < ref.candidates.size(); ++i) {
+            // Bitwise, not approximate: every evaluation runs the same
+            // arithmetic whichever worker and group prices it.
+            EXPECT_EQ(ref.candidates[i].makespan, r.candidates[i].makespan);
+            EXPECT_EQ(ref.candidates[i].inter_traffic,
+                      r.candidates[i].inter_traffic);
+            EXPECT_EQ(ref.candidates[i].bus_busy, r.candidates[i].bus_busy);
         }
     }
     clear_simulation_cache();
 }
 
-TEST(DseIncremental, ReuseStatsAreJobsInvariant) {
-    // prefix_tasks_reused / chunks depend only on the
-    // candidate set and chunk size — the property that lets the perf gate
-    // enforce them as exact determinism counters across machines.
-    uml::Model syn = cases::synthetic_model();
-    core::CommModel comm = core::analyze_communication(syn);
-    ExploreOptions serial;
-    serial.jobs = 1;
-    ExploreOptions parallel;
-    parallel.jobs = 8;
-    clear_simulation_cache();
-    ExploreResult a = explore(syn, comm, serial);
-    clear_simulation_cache();
-    ExploreResult b = explore(syn, comm, parallel);
-    EXPECT_EQ(a.stats.prefix_tasks_reused, b.stats.prefix_tasks_reused);
-    EXPECT_EQ(a.stats.chunks, b.stats.chunks);
-    clear_simulation_cache();
-}
-
-TEST(DseIncremental, ColdSweepReusesSchedulePrefixes) {
-    uml::Model syn = cases::synthetic_model();
-    core::CommModel comm = core::analyze_communication(syn);
-    clear_simulation_cache();
-    ExploreResult r = explore(syn, comm);
-    // Locality-ordered neighbors (adjacent budgets of one strategy) share
-    // schedule prefixes even on a completely cold cache.
-    EXPECT_GT(r.stats.prefix_tasks_reused, 0u);
-    EXPECT_GT(r.stats.chunks, 0u);
-    EXPECT_EQ(r.stats.verified, 0u);  // verify_full off by default
-    // Warm sweep: everything is memoized, so no batches run at all.
-    ExploreResult warm = explore(syn, comm);
-    EXPECT_EQ(warm.stats.prefix_tasks_reused, 0u);
-    EXPECT_EQ(warm.stats.chunks, 0u);
-    clear_simulation_cache();
-}
-
-TEST(DseIncremental, VerifyFullMatchesIncremental) {
-    // --dse-verify-full re-simulates every unique clustering from scratch
-    // and throws on any metric divergence; a clean pass is the oracle
-    // check that incremental == exhaustive.
-    for (std::size_t chunk : {std::size_t{0}, std::size_t{3}}) {
+TEST(DseSweep, VerifyFullMatchesFreshSimulation) {
+    // --dse-verify-full re-simulates every unique clustering on a fresh
+    // evaluator and throws on any metric divergence; a clean pass is the
+    // oracle check that scratch reuse across a group changes nothing.
+    for (std::size_t jobs : {std::size_t{1}, std::size_t{2}}) {
         uml::Model app = cases::random_application(7, 14, 4);
         core::CommModel comm = core::analyze_communication(app);
         ExploreOptions options;
         options.verify_full = true;
-        options.chunk_size = chunk;
-        options.jobs = 2;
+        options.jobs = jobs;
         clear_simulation_cache();
         ExploreResult r = explore(app, comm, options);
         EXPECT_EQ(r.stats.verified, r.stats.unique_clusterings);
         EXPECT_GT(r.stats.verified, 0u);
     }
     clear_simulation_cache();
-}
-
-// --- core::parallel_for_chunked (the dispatch primitive under the sweep) -----
-
-TEST(ParallelChunked, CoversEveryIndexExactlyOnce) {
-    for (std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{9},
-                              std::size_t{10}, std::size_t{97}}) {
-        for (std::size_t chunk : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{5}, std::size_t{100}}) {
-            std::vector<std::atomic<int>> hits(count);
-            core::parallel_for_chunked(
-                count, 4, chunk, [&](std::size_t begin, std::size_t end) {
-                    ASSERT_LT(begin, end);
-                    ASSERT_LE(end, count);
-                    for (std::size_t i = begin; i < end; ++i)
-                        hits[i].fetch_add(1);
-                });
-            for (std::size_t i = 0; i < count; ++i)
-                EXPECT_EQ(hits[i].load(), 1) << "count=" << count
-                                             << " chunk=" << chunk;
-        }
-    }
-}
-
-TEST(ParallelChunked, DecompositionIsJobsInvariant) {
-    // Chunk boundaries must depend only on (count, chunk) so per-chunk
-    // state produces identical statistics for any job count.
-    auto boundaries = [](std::size_t jobs) {
-        std::vector<std::pair<std::size_t, std::size_t>> out;
-        std::mutex m;
-        core::parallel_for_chunked(100, jobs, 7,
-                                   [&](std::size_t b, std::size_t e) {
-                                       std::lock_guard<std::mutex> lock(m);
-                                       out.emplace_back(b, e);
-                                   });
-        std::sort(out.begin(), out.end());
-        return out;
-    };
-    EXPECT_EQ(boundaries(1), boundaries(8));
-}
-
-TEST(ParallelChunked, PropagatesLowestChunkException) {
-    EXPECT_THROW(
-        core::parallel_for_chunked(64, 4, 8,
-                                   [&](std::size_t begin, std::size_t) {
-                                       if (begin >= 16)
-                                           throw std::runtime_error("boom");
-                                   }),
-        std::runtime_error);
 }
 
 TEST(Dse, SimulationCacheTrimBoundsResidencyLru) {

@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -250,7 +251,7 @@ TEST(ServeEngine, ModelHashFromOneMethodServesAnother) {
     EXPECT_NE(response.find("\"candidates\":"), std::string::npos);
 }
 
-TEST(ServeEngine, ExploreReportsIncrementalReuseAndStatusRollsItUp) {
+TEST(ServeEngine, ExploreReportsMemoReuseAndStatusRollsItUp) {
     serve::Engine engine{serve::EngineOptions{}};
     dse::clear_simulation_cache();
     std::shared_ptr<const serve::ResidentModel> resident;
@@ -265,19 +266,17 @@ TEST(ServeEngine, ExploreReportsIncrementalReuseAndStatusRollsItUp) {
     EXPECT_NE(status.find("\"dse\":{\"explores\":0"), std::string::npos)
         << status;
 
-    // Cold explore: fresh simulations in nonzero chunks, per-request stats
-    // in the response (verify_full exercises the oracle path too).
+    // Cold explore: fresh simulations, per-request stats in the response
+    // (verify_full exercises the oracle path too).
     std::string cold = engine.handle(
         "{\"method\":\"explore\",\"id\":1,\"model_hash\":\"" + resident->hash +
         "\",\"params\":{\"jobs\":1,\"verify_full\":true}}");
     ASSERT_TRUE(response_ok(cold)) << cold;
     for (const char* field :
          {"\"simulations\":", "\"cache_hits\":0,", "\"duplicates_skipped\":",
-          "\"prefix_tasks_reused\":", "\"chunks\":", "\"verified\":",
-          "\"jobs\":1}"})
+          "\"verified\":", "\"jobs\":1}"})
         EXPECT_NE(cold.find(field), std::string::npos) << field << cold;
     EXPECT_EQ(cold.find("\"simulations\":0,"), std::string::npos) << cold;
-    EXPECT_EQ(cold.find("\"chunks\":0,"), std::string::npos) << cold;
     EXPECT_EQ(cold.find("\"verified\":0"), std::string::npos) << cold;
 
     // Warm explore: the memo serves everything — zero simulations.
@@ -289,7 +288,7 @@ TEST(ServeEngine, ExploreReportsIncrementalReuseAndStatusRollsItUp) {
         << warm;
 
     // Status rolls both up: 2 explores; "last" shows the warm request
-    // (cache hits, no prefix reuse).
+    // (cache hits only).
     status = engine.handle("{\"method\":\"status\",\"id\":3}");
     ASSERT_TRUE(response_ok(status)) << status;
     EXPECT_NE(status.find("\"dse\":{\"explores\":2"), std::string::npos)
@@ -520,6 +519,58 @@ TEST_F(ServerFixture, DeeplyNestedModelIsAnErrorAndTheDaemonSurvives) {
     EXPECT_EQ(error_code(response), "serve.model-invalid") << response;
     EXPECT_NE(response.find("xml.depth"), std::string::npos) << response;
     EXPECT_TRUE(response_ok(rpc(fd, "{\"method\":\"ping\",\"id\":2}")));
+    ::close(fd);
+    server.stop();
+}
+
+TEST_F(ServerFixture, OutOfRangeCountParamsAreBadRequests) {
+    serve::ServerOptions options;
+    options.socket_path = socket_path();
+    serve::Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    std::shared_ptr<const serve::ResidentModel> resident;
+    {
+        diag::DiagnosticEngine diagnostics;
+        resident = server.engine().cache().admit(didactic_xmi(), diagnostics);
+        ASSERT_TRUE(resident);
+    }
+
+    // Casting a negative, fractional or huge double to an integer count is
+    // undefined; each must be this request's serve.bad-request, naming the
+    // param, and the daemon keeps answering.
+    int fd = connect_unix(options.socket_path);
+    ASSERT_GE(fd, 0);
+    int id = 0;
+    const std::pair<const char*, const char*> cases[] = {
+        {"explore", "\"random_samples\":-1"},
+        {"explore", "\"jobs\":1.5"},
+        {"explore", "\"max_processors\":1e300"},
+        {"generate", "\"gen_jobs\":-2"},
+        {"generate", "\"iterations\":-1"},
+        {"generate", "\"pass_budget_ms\":0.25"},
+        {"simulate", "\"max_processors\":-3"},
+    };
+    for (const auto& [method, param] : cases) {
+        std::string response =
+            rpc(fd, "{\"method\":\"" + std::string(method) + "\",\"id\":" +
+                        std::to_string(++id) + ",\"model_hash\":\"" +
+                        resident->hash + "\",\"params\":{" + param + "}}");
+        EXPECT_EQ(error_code(response), "serve.bad-request")
+            << method << " " << param << ": " << response;
+        std::string key(param);
+        key = key.substr(1, key.find('"', 1) - 1);
+        EXPECT_NE(response.find("param '" + key + "'"), std::string::npos)
+            << response;
+        EXPECT_TRUE(response_ok(rpc(
+            fd, "{\"method\":\"ping\",\"id\":" + std::to_string(++id) + "}")));
+    }
+    // An in-range integral value still works.
+    std::string fine =
+        rpc(fd, "{\"method\":\"explore\",\"id\":99,\"model_hash\":\"" +
+                    resident->hash +
+                    "\",\"params\":{\"jobs\":1,\"random_samples\":0}}");
+    EXPECT_TRUE(response_ok(fine)) << fine;
     ::close(fd);
     server.stop();
 }

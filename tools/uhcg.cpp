@@ -127,6 +127,7 @@
 //      produced outputs; the manifest lists the quarantined units
 //   4  internal error — an exception escaped the diagnostics engine
 #include <atomic>
+#include <cctype>
 #include <csignal>
 #include <cstdint>
 #include <cstring>
@@ -192,7 +193,6 @@ struct Cli {
     std::uint64_t seed = 1;
     std::size_t jobs = 0;
     // DSE (explore).
-    std::size_t dse_chunk = 0;
     bool dse_verify_full = false;
     // Parallel generate dispatch (generate, campaign).
     std::size_t gen_jobs = 1;
@@ -262,11 +262,9 @@ int usage(const char* argv0) {
            "         --inject-fault <kind>:<site> (generate command)\n"
            "         --trace-out <path> --metrics-out <path> --profile\n"
            "         --jobs <n> (explore command; 0 = all hardware threads)\n"
-           "         --dse-chunk <n> (explore: candidates per pool task,\n"
-           "                          0 = default; results are identical)\n"
            "         --dse-verify-full (explore: re-simulate every unique\n"
            "                            clustering from scratch and assert\n"
-           "                            the incremental metrics match)\n"
+           "                            the sweep's metrics match)\n"
            "         --iterations <n> (threads command)\n"
            "         --mutations <n> --seed <n> (fuzz-xmi command)\n"
            "         --checkpoint-ttl-s <n> --checkpoint-max <n>\n"
@@ -294,13 +292,14 @@ bool parse_cli(int argc, char** argv, Cli& cli) {
             return argv[++i];
         };
         // Numeric option values must parse fully — "abc" silently becoming
-        // 0 would make `--mutations abc` a no-op sweep.
+        // 0 would make `--mutations abc` a no-op sweep. The value must start
+        // with a digit: strtoull accepts a sign and wraps "-1" to 2^64-1.
         auto next_number = [&](auto& out) {
             const char* v = next();
             if (!v || *v == '\0') return false;
             char* end = nullptr;
             unsigned long long parsed = std::strtoull(v, &end, 10);
-            if (end == v || *end != '\0') {
+            if (!std::isdigit(static_cast<unsigned char>(*v)) || *end != '\0') {
                 std::cerr << "option " << arg << " needs a number, got '" << v
                           << "'\n";
                 return false;
@@ -342,8 +341,6 @@ bool parse_cli(int argc, char** argv, Cli& cli) {
             cli.caam_c = false;
         } else if (arg == "--no-caam-dot") {
             cli.caam_dot = false;
-        } else if (arg == "--dse-chunk") {
-            if (!next_number(cli.dse_chunk)) return false;
         } else if (arg == "--dse-verify-full") {
             cli.dse_verify_full = true;
         } else if (arg == "--iterations") {
@@ -730,7 +727,6 @@ int cmd_explore(const uml::Model& model, const Cli& cli,
     dse::ExploreOptions options;
     options.max_processors = cli.mapper.max_processors;
     options.jobs = cli.jobs;
-    options.chunk_size = cli.dse_chunk;
     options.verify_full = cli.dse_verify_full;
     dse::ExploreResult result;
     try {
@@ -756,10 +752,7 @@ int cmd_explore(const uml::Model& model, const Cli& cli,
     std::cout << "evaluated with jobs=" << s.jobs << ": " << s.simulations
               << " simulated, " << s.duplicates_skipped
               << " duplicate clustering(s) skipped, " << s.cache_hits
-              << " cache hit(s)\n"
-              << "incremental: " << s.prefix_tasks_reused
-              << " schedule position(s) replayed across " << s.chunks
-              << " chunk(s)\n";
+              << " cache hit(s)\n";
     if (s.verified)
         std::cout << "verify-full: " << s.verified
                   << " clustering(s) re-simulated from scratch, all metrics "
