@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "simulink/caam.hpp"
+#include "taskgraph/graph.hpp"
 #include "transform/text.hpp"
 
 namespace uhcg::codegen {
@@ -94,7 +95,7 @@ private:
         scan(model_->root(), scan);
     }
 
-    Endpoint resolve_source(const System& sys, PortRef src) const {
+    Endpoint resolve_source(PortRef src) const {
         const Block& b = *src.block;
         if (b.type() == BlockType::CommChannel) return {Endpoint::Channel, &b, ""};
         if (b.type() == BlockType::UnitDelay)
@@ -104,20 +105,20 @@ private:
                 return {Endpoint::Env, nullptr, b.parameter_or("Var", b.name())};
             // CPU boundary marker: surface to the root.
             const Block* cpu = b.parent()->owner_block();
-            const Line* line = model_->root().line_into(
-                {const_cast<Block*>(cpu), port_number(b)});
+            const Line* line = cpu->parent() == &model_->root()
+                                   ? cpu->line_into(port_number(b))
+                                   : nullptr;
             if (!line)
                 throw std::runtime_error("undriven CPU input feeding codegen");
-            return resolve_source(model_->root(), line->source());
+            return resolve_source(line->source());
         }
-        (void)sys;
         throw std::runtime_error("unexpected driver block '" + b.name() +
                                  "' for a thread input");
     }
 
-    void resolve_sinks(const System& sys, PortRef src,
+    void resolve_sinks(const Block& src, int port,
                        std::vector<Endpoint>& out) const {
-        const Line* line = sys.line_from(src);
+        const Line* line = src.line_from(port);
         if (!line) return;  // dangling output: legal, value unused
         for (const PortRef& dst : line->destinations()) {
             const Block& b = *dst.block;
@@ -131,9 +132,7 @@ private:
                     out.push_back(
                         {Endpoint::Env, nullptr, b.parameter_or("Var", b.name())});
                 } else {
-                    const Block* cpu = b.parent()->owner_block();
-                    resolve_sinks(*cpu->parent(),
-                                  {const_cast<Block*>(cpu), port_number(b)}, out);
+                    resolve_sinks(*b.parent()->owner_block(), port_number(b), out);
                 }
             } else if (b.type() == BlockType::SubSystem) {
                 // Another CPU fed directly (no channel) — not produced by
@@ -143,19 +142,16 @@ private:
     }
 
     void collect_threads() {
-        for (Block* cpu : simulink::cpu_subsystems(
-                 const_cast<simulink::Model&>(*model_))) {
-            for (Block* tss : simulink::thread_subsystems(*cpu)) {
+        for (const Block* cpu : simulink::cpu_subsystems(*model_)) {
+            for (const Block* tss : simulink::thread_subsystems(*cpu)) {
                 ThreadCode tc;
                 tc.tss = tss;
                 tc.fn_name = sanitize_identifier(cpu->name()) + "_" +
                              sanitize_identifier(tss->name()) + "_step";
                 for (int p = 1; p <= tss->input_count(); ++p)
-                    tc.input_sources[p] =
-                        resolve_source(*cpu->system(),
-                                       source_of_input(*cpu->system(), *tss, p));
+                    tc.input_sources[p] = resolve_source(source_of_input(*tss, p));
                 for (int p = 1; p <= tss->output_count(); ++p) {
-                    resolve_sinks(*cpu->system(), {tss, p}, tc.output_sinks[p]);
+                    resolve_sinks(*tss, p, tc.output_sinks[p]);
                     for (const Endpoint& e : tc.output_sinks[p])
                         if (e.kind == Endpoint::Delay)
                             delay_fed_by_thread_.insert(delays_[e.delay]);
@@ -165,8 +161,8 @@ private:
         }
     }
 
-    static PortRef source_of_input(const System& sys, Block& tss, int port) {
-        const Line* line = sys.line_into({&tss, port});
+    static PortRef source_of_input(const Block& tss, int port) {
+        const Line* line = tss.line_into(port);
         if (!line)
             throw std::runtime_error("thread input " + std::to_string(port) +
                                      " of '" + tss.name() + "' is undriven");
@@ -280,34 +276,22 @@ private:
         std::vector<const Block*> blocks = sys.blocks();
         std::map<const Block*, std::size_t> idx;
         for (std::size_t i = 0; i < blocks.size(); ++i) idx[blocks[i]] = i;
-        std::vector<std::size_t> unmet(blocks.size(), 0);
         std::vector<std::vector<std::size_t>> consumers(blocks.size());
         for (const Line* line : sys.lines()) {
             const Block* src = line->source().block;
             // UnitDelay outputs are state — no ordering constraint. Inport
             // reads DO order: they must be emitted before their consumers.
             if (src->type() == BlockType::UnitDelay) continue;
-            for (const PortRef& dst : line->destinations()) {
+            for (const PortRef& dst : line->destinations())
                 consumers[idx[src]].push_back(idx[dst.block]);
-                ++unmet[idx[dst.block]];
-            }
         }
-        std::vector<const Block*> order;
-        std::vector<std::size_t> ready;
-        for (std::size_t i = 0; i < blocks.size(); ++i)
-            if (unmet[i] == 0) ready.push_back(i);
-        while (!ready.empty()) {
-            auto it = std::min_element(ready.begin(), ready.end());
-            std::size_t i = *it;
-            ready.erase(it);
-            order.push_back(blocks[i]);
-            for (std::size_t c : consumers[i])
-                if (--unmet[c] == 0) ready.push_back(c);
-        }
-        if (order.size() != blocks.size())
+        const taskgraph::TopoSort sorted = taskgraph::topological_sort(consumers);
+        if (!sorted.stuck.empty())
             throw std::runtime_error("thread '" + tc.tss->name() +
                                      "' still contains a combinational cycle; "
                                      "run insert_temporal_barriers first");
+        std::vector<const Block*> order;
+        for (std::size_t i : sorted.order) order.push_back(blocks[i]);
 
         auto value_name = [&](const Block& b, int port) {
             std::string n = "v_" + sanitize_identifier(b.name());
@@ -315,7 +299,7 @@ private:
             return n;
         };
         auto input_expr = [&](const Block& b, int port) -> std::string {
-            const Line* line = sys.line_into({const_cast<Block*>(&b), port});
+            const Line* line = b.line_into(port);
             if (!line) return "0.0";
             return value_name(*line->source().block, line->source().port);
         };
@@ -414,7 +398,7 @@ private:
                     // Unconsumed outputs are legal in the model; keep the
                     // generated unit warning-clean.
                     for (int p = 1; p <= b->output_count(); ++p)
-                        if (!sys.line_from({const_cast<Block*>(b), p}))
+                        if (!b->line_from(p))
                             w.line("(void)" + value_name(*b, p) + ";");
                     break;
                 }
@@ -529,10 +513,10 @@ private:
         // Latch every boundary temporal barrier after the sweep.
         for (std::size_t i = 0; i < delays_.size(); ++i) {
             const Block* d = delays_[i];
-            const Line* into = d->parent()->line_into({const_cast<Block*>(d), 1});
+            const Line* into = d->line_into(1);
             std::string expr = "0.0";
             if (into) {
-                Endpoint src = resolve_source(*d->parent(), into->source());
+                Endpoint src = resolve_source(into->source());
                 switch (src.kind) {
                     case Endpoint::Channel:
                         expr = "uhcg_fifo_read(" + channel_ref(*src.channel) + ")";

@@ -1,5 +1,6 @@
 #include "core/delays.hpp"
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -25,12 +26,12 @@ struct Atom {
     friend auto operator<=>(const Atom&, const Atom&) = default;
 };
 
-/// An edge of the dependency graph. Line edges remember the concrete Line
-/// and destination so a UnitDelay can be spliced in.
+/// An edge of the dependency graph. Line edges remember the destination
+/// port so a UnitDelay can be spliced into the line feeding it.
 struct Dep {
     Atom to;
-    Line* line = nullptr;  // nullptr for intra-block dependencies
-    PortRef line_dst;      // valid when line != nullptr
+    const Line* line = nullptr;  // nullptr for intra-block dependencies
+    PortRef line_dst;            // valid when line != nullptr
 };
 
 class CycleAnalyzer {
@@ -56,7 +57,7 @@ public:
                 Atom a = stack.back();
                 stack.pop_back();
                 if (!visited.insert(a).second) continue;
-                for (const Dep& d : dependencies(sys, a)) stack.push_back(d.to);
+                for (const Dep& d : dependencies(a)) stack.push_back(d.to);
             }
             for (const Block* o : sys.blocks()) {
                 if (o->type() != BlockType::Outport) continue;
@@ -69,16 +70,13 @@ public:
     }
 
     /// Outgoing dependency edges of an atom within its system.
-    std::vector<Dep> dependencies(const System& sys, const Atom& atom) {
+    std::vector<Dep> dependencies(const Atom& atom) {
         std::vector<Dep> out;
         if (atom.is_output) {
             // Output port → every input it drives, via lines.
-            if (const Line* line =
-                    sys.line_from({const_cast<Block*>(atom.block), atom.port})) {
+            if (const Line* line = atom.block->line_from(atom.port)) {
                 for (const PortRef& dst : line->destinations())
-                    out.push_back({{dst.block, dst.port, false},
-                                   const_cast<Line*>(line),
-                                   dst});
+                    out.push_back({{dst.block, dst.port, false}, line, dst});
             }
             return out;
         }
@@ -108,12 +106,12 @@ public:
         return out;
     }
 
-    /// Finds one combinational cycle in `sys`; returns a Line on it to cut
+    /// Finds one combinational cycle in `sys`; returns the port to splice at
     /// (the "data link where the loop is detected"). nullopt = acyclic.
     /// Depth-first with an explicit stack of frames, so the depth of the
     /// longest combinational chain never reaches the call stack; edges are
     /// taken in dependency order, the order a recursive walk would use.
-    std::optional<std::pair<Line*, PortRef>> find_cycle(const System& sys) {
+    std::optional<PortRef> find_cycle(const System& sys) {
         std::map<Atom, int> color;  // 0 white, 1 gray, 2 black
         std::vector<std::pair<Atom, Dep>> path;  // (atom, edge taken into it)
         struct Frame {
@@ -124,7 +122,7 @@ public:
         std::vector<Frame> stack;
         auto enter = [&](const Atom& a) {
             color[a] = 1;
-            stack.push_back({a, dependencies(sys, a)});
+            stack.push_back({a, dependencies(a)});
         };
 
         for (const Block* b : sys.blocks()) {
@@ -148,14 +146,13 @@ public:
                         // from d.to. Cut at the back edge when it is a
                         // line, otherwise at the last line edge on the
                         // suffix.
-                        if (d.line) return {{d.line, d.line_dst}};
+                        if (d.line) return d.line_dst;
                         for (auto it = path.rbegin(); it != path.rend(); ++it) {
                             // The entry *for* d.to records the edge that
                             // led into the cycle head — not a cycle edge;
                             // stop before considering it.
                             if (it->first == d.to) break;
-                            if (it->second.line)
-                                return {{it->second.line, it->second.line_dst}};
+                            if (it->second.line) return it->second.line_dst;
                         }
                         throw std::logic_error(
                             "combinational cycle without any line edge");
@@ -174,47 +171,44 @@ private:
     std::map<const Block*, std::vector<std::vector<bool>>> reach_memo_;
 };
 
-std::string delay_name(System& sys) {
-    if (!sys.find_block("Delay")) return "Delay";
-    int i = 1;
-    while (sys.find_block("Delay_" + std::to_string(i))) ++i;
-    return "Delay_" + std::to_string(i);
-}
-
 /// Breaks all cycles in one system (children must already be processed).
 void break_cycles(System& sys, CycleAnalyzer& analyzer, DelayReport& report) {
     for (;;) {
-        auto cut = analyzer.find_cycle(sys);
-        if (!cut) return;
-        auto [line, dst] = *cut;
-        PortRef src = line->source();
-        std::string signal = line->name();
+        auto dst = analyzer.find_cycle(sys);
+        if (!dst) return;
+        Line& line = *sys.line_into(*dst);
+        PortRef src = line.source();
+        std::string signal = line.name();
 
-        line->remove_destination(dst);
-        if (line->destinations().empty()) sys.remove_line(*line);
-        Block& delay = sys.add_block(delay_name(sys), BlockType::UnitDelay);
+        sys.disconnect(line, *dst);
+        Block& delay = sys.add_block(sys.unique_name("Delay"), BlockType::UnitDelay);
         delay.set_parameter("SampleTime", "-1");
         sys.add_line(src, {&delay, 1}, signal);
-        sys.add_line({&delay, 1}, dst, signal);
+        sys.add_line({&delay, 1}, *dst, signal);
 
         ++report.inserted;
         report.locations.push_back(sys.name() + ": " + src.block->name() + "." +
                                    std::to_string(src.port) + " -> " +
-                                   dst.block->name() + "." +
-                                   std::to_string(dst.port));
+                                   dst->block->name() + "." +
+                                   std::to_string(dst->port));
     }
 }
 
-void process_bottom_up(System& sys, CycleAnalyzer& analyzer, DelayReport& report) {
-    for (Block* b : sys.blocks())
-        if (b->system()) process_bottom_up(*b->system(), analyzer, report);
-    break_cycles(sys, analyzer, report);
-}
-
-bool any_cycle(const System& sys, CycleAnalyzer& analyzer) {
-    for (const Block* b : sys.blocks())
-        if (b->system() && any_cycle(*b->system(), analyzer)) return true;
-    return analyzer.find_cycle(sys).has_value();
+/// `root` and every system nested in it, children (in block order) before
+/// parents: a reversed pre-order, walked without recursion.
+template <class SystemT>
+std::vector<SystemT*> bottom_up(SystemT& root) {
+    std::vector<SystemT*> order;
+    std::vector<SystemT*> stack{&root};
+    while (!stack.empty()) {
+        SystemT* sys = stack.back();
+        stack.pop_back();
+        order.push_back(sys);
+        for (auto* b : sys->blocks())
+            if (SystemT* child = b->system()) stack.push_back(child);
+    }
+    std::reverse(order.begin(), order.end());
+    return order;
 }
 
 }  // namespace
@@ -222,13 +216,15 @@ bool any_cycle(const System& sys, CycleAnalyzer& analyzer) {
 DelayReport insert_temporal_barriers(simulink::Model& model) {
     DelayReport report;
     CycleAnalyzer analyzer;
-    process_bottom_up(model.root(), analyzer, report);
+    for (System* sys : bottom_up(model.root())) break_cycles(*sys, analyzer, report);
     return report;
 }
 
 bool has_combinational_cycle(const simulink::Model& model) {
     CycleAnalyzer analyzer;
-    return any_cycle(model.root(), analyzer);
+    for (const System* sys : bottom_up(model.root()))
+        if (analyzer.find_cycle(*sys)) return true;
+    return false;
 }
 
 }  // namespace uhcg::core

@@ -17,17 +17,9 @@ using simulink::System;
 
 namespace {
 
-/// Unique block name within a system.
-std::string unique_block_name(System& sys, const std::string& hint) {
-    if (!sys.find_block(hint)) return hint;
-    int i = 1;
-    while (sys.find_block(hint + "_" + std::to_string(i))) ++i;
-    return hint + "_" + std::to_string(i);
-}
-
-/// Thread-SS block for a thread name, anywhere under the root.
-Block* find_thread_ss(simulink::Model& model, const std::string& thread) {
-    for (Block* cpu : simulink::cpu_subsystems(model)) {
+/// Thread-SS block for a thread name, in any of the CPU-SS blocks.
+Block* find_thread_ss(const std::vector<Block*>& cpus, const std::string& thread) {
+    for (Block* cpu : cpus) {
         if (Block* t = cpu->system()->find_block(thread);
             t && t->role() == CaamRole::ThreadSubsystem)
             return t;
@@ -42,7 +34,7 @@ int add_subsystem_input(Block& sub, const std::string& name, PortRef inner_dst) 
     int index = sub.input_count() + 1;
     sub.set_ports(index, sub.output_count());
     sub.set_input_name(index, name);
-    Block& in = sys.add_block(unique_block_name(sys, name), BlockType::Inport);
+    Block& in = sys.add_block(sys.unique_name(name), BlockType::Inport);
     in.set_parameter("Port", std::to_string(index));
     sys.add_line({&in, 1}, inner_dst, name);
     return index;
@@ -54,7 +46,7 @@ int add_subsystem_output(Block& sub, const std::string& name, PortRef inner_src)
     sub.set_ports(sub.input_count(), index);
     sub.set_output_name(index, name);
     Block& out =
-        sys.add_block(unique_block_name(sys, name + "_out"), BlockType::Outport);
+        sys.add_block(sys.unique_name(name + "_out"), BlockType::Outport);
     out.set_parameter("Port", std::to_string(index));
     sys.add_line(inner_src, {&out, 1}, name);
     return index;
@@ -82,6 +74,7 @@ ChannelReport infer_channels(simulink::Model& model, const CommModel& comm) {
 
     // --- §4.2.1 channel inference -------------------------------------------
     std::set<std::tuple<std::string, std::string, std::string>> seen;
+    const std::vector<Block*> cpus = simulink::cpu_subsystems(model);
     for (const Channel& c : comm.channels()) {
         // Set on one side and Get on the other both describe the same data
         // link; instantiate each (producer, consumer, var) channel once.
@@ -90,8 +83,8 @@ ChannelReport infer_channels(simulink::Model& model, const CommModel& comm) {
                  .second)
             continue;
 
-        Block* p_tss = find_thread_ss(model, c.producer->name());
-        Block* c_tss = find_thread_ss(model, c.consumer->name());
+        Block* p_tss = find_thread_ss(cpus, c.producer->name());
+        Block* c_tss = find_thread_ss(cpus, c.consumer->name());
         if (!p_tss || !c_tss) {
             report.warnings.push_back("channel " + c.producer->name() + "->" +
                                       c.consumer->name() + " [" + c.variable +
@@ -116,7 +109,7 @@ ChannelReport infer_channels(simulink::Model& model, const CommModel& comm) {
         // Defensive: a contended consumer port (two producers for one
         // variable — rejected by uml::check E7, but tolerated here when
         // enforcement is off) is reported instead of crashing the wiring.
-        if (c_tss->parent()->line_into({c_tss, dst_port})) {
+        if (c_tss->line_into(dst_port)) {
             report.warnings.push_back(
                 "channel variable '" + c.variable + "' of thread '" +
                 c.consumer->name() + "' already driven; skipping producer '" +
@@ -130,8 +123,8 @@ ChannelReport infer_channels(simulink::Model& model, const CommModel& comm) {
             // Intra-SS channel (SWFIFO) inside the shared CPU-SS.
             System& sys = *p_cpu->system();
             Block& chan = sys.add_block(
-                unique_block_name(sys, "chan_" + c.producer->name() + "_" +
-                                           c.consumer->name() + "_" + c.variable),
+                sys.unique_name("chan_" + c.producer->name() + "_" +
+                                c.consumer->name() + "_" + c.variable),
                 BlockType::CommChannel);
             chan.set_role(CaamRole::IntraCpuChannel);
             chan.set_parameter("Protocol", simulink::kProtocolSwFifo);
@@ -144,8 +137,8 @@ ChannelReport infer_channels(simulink::Model& model, const CommModel& comm) {
             int p_cpu_out = get_cpu_output(*p_tss, c.variable);
             int c_cpu_in = add_subsystem_input(*c_cpu, c.variable, {c_tss, dst_port});
             Block& chan = root.add_block(
-                unique_block_name(root, "chan_" + c.producer->name() + "_" +
-                                            c.consumer->name() + "_" + c.variable),
+                root.unique_name("chan_" + c.producer->name() + "_" +
+                                 c.consumer->name() + "_" + c.variable),
                 BlockType::CommChannel);
             chan.set_role(CaamRole::InterCpuChannel);
             chan.set_parameter("Protocol", simulink::kProtocolGFifo);
@@ -158,7 +151,7 @@ ChannelReport infer_channels(simulink::Model& model, const CommModel& comm) {
 
     // --- environment plumbing (<<IO>> and open inputs → system ports) --------
     int next_in = 1, next_out = 1;
-    for (Block* cpu : simulink::cpu_subsystems(model)) {
+    for (Block* cpu : cpus) {
         for (Block* tss : simulink::thread_subsystems(*cpu)) {
             for (Block* boundary : tss->system()->blocks()) {
                 const std::string* kind = boundary->find_parameter("CommKind");
@@ -169,7 +162,7 @@ ChannelReport infer_channels(simulink::Model& model, const CommModel& comm) {
                     // Thread input ← CPU input ← system Inport block.
                     int cpu_in = add_subsystem_input(*cpu, var, {tss, tss_port});
                     Block& sys_in = root.add_block(
-                        unique_block_name(root, "In" + std::to_string(next_in)),
+                        root.unique_name("In" + std::to_string(next_in)),
                         BlockType::Inport);
                     sys_in.set_parameter("Port", std::to_string(next_in));
                     sys_in.set_parameter("Var", var);
@@ -180,7 +173,7 @@ ChannelReport infer_channels(simulink::Model& model, const CommModel& comm) {
                            *kind == kCommKindIo) {
                     int cpu_out = add_subsystem_output(*cpu, var, {tss, tss_port});
                     Block& sys_out = root.add_block(
-                        unique_block_name(root, "Out" + std::to_string(next_out)),
+                        root.unique_name("Out" + std::to_string(next_out)),
                         BlockType::Outport);
                     sys_out.set_parameter("Port", std::to_string(next_out));
                     sys_out.set_parameter("Var", var);

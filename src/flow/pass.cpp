@@ -8,6 +8,7 @@
 
 #include "flow/fault.hpp"
 #include "obs/obs.hpp"
+#include "taskgraph/graph.hpp"
 
 namespace uhcg::flow {
 
@@ -131,11 +132,8 @@ std::vector<const Pass*> PassManager::schedule() const {
 
     // Dependency edges: artifact producers plus explicit `after` barriers.
     std::vector<std::vector<std::size_t>> dependents(n);
-    std::vector<std::size_t> indegree(n, 0);
     auto add_edge = [&](std::size_t from, std::size_t to) {
-        if (from == to) return;
-        dependents[from].push_back(to);
-        ++indegree[to];
+        if (from != to) dependents[from].push_back(to);
     };
     for (std::size_t i = 0; i < n; ++i) {
         for (const ArtifactKey& in : passes_[i].inputs) {
@@ -150,28 +148,17 @@ std::vector<const Pass*> PassManager::schedule() const {
         }
     }
 
-    // Kahn's algorithm; the ready set is drained lowest-registration-index
-    // first, which makes the order total and deterministic.
-    std::vector<std::size_t> ready;
-    for (std::size_t i = 0; i < n; ++i)
-        if (indegree[i] == 0) ready.push_back(i);
-    std::vector<const Pass*> order;
-    order.reserve(n);
-    while (!ready.empty()) {
-        auto lowest = std::min_element(ready.begin(), ready.end());
-        std::size_t next = *lowest;
-        ready.erase(lowest);
-        order.push_back(&passes_[next]);
-        for (std::size_t dep : dependents[next])
-            if (--indegree[dep] == 0) ready.push_back(dep);
-    }
-    if (order.size() != n) {
+    // Lowest registration index first: a total, deterministic order.
+    const taskgraph::TopoSort sorted = taskgraph::topological_sort(dependents);
+    if (!sorted.stuck.empty()) {
         std::string cyclic;
-        for (std::size_t i = 0; i < n; ++i)
-            if (indegree[i] > 0) cyclic += (cyclic.empty() ? "" : ", ") + passes_[i].name;
+        for (std::size_t i : sorted.stuck)
+            cyclic += (cyclic.empty() ? "" : ", ") + passes_[i].name;
         throw FlowError("pass manager '" + name_ +
                         "': cyclic pass dependencies through: " + cyclic);
     }
+    std::vector<const Pass*> order;
+    for (std::size_t i : sorted.order) order.push_back(&passes_[i]);
     return order;
 }
 

@@ -82,22 +82,26 @@ struct BadParam : std::runtime_error {
     using std::runtime_error::runtime_error;
 };
 
-/// A count-like param (jobs, samples, budgets): a non-number keeps the
-/// fallback, as every param does; a negative, fractional or out-of-range
-/// number throws BadParam — casting it to an integer would be undefined.
-std::size_t param_count(const obs::json::Value& doc, std::string_view key,
-                        std::size_t fallback) {
-    const obs::json::Value* v = find_param(doc, key);
+/// A count-like value (jobs, samples, budgets, deadlines): a non-number
+/// keeps the fallback, as every param does; a negative, fractional or
+/// out-of-range number throws BadParam — casting it would be undefined.
+std::size_t count_or(const obs::json::Value* v, std::string_view what,
+                     std::size_t fallback) {
     if (!v || !v->is_number()) return fallback;
     const double x = v->number;
     // 2^digits is exact in a double; every integral double below it fits.
     const double limit =
         std::ldexp(1.0, std::numeric_limits<std::size_t>::digits);
     if (!(x >= 0.0 && x < limit && std::floor(x) == x))
-        throw BadParam("param '" + std::string(key) +
-                       "' must be a non-negative integer, got " +
+        throw BadParam(std::string(what) + " must be a non-negative integer, got " +
                        number_text(x));
     return static_cast<std::size_t>(x);
+}
+
+std::size_t param_count(const obs::json::Value& doc, std::string_view key,
+                        std::size_t fallback) {
+    return count_or(find_param(doc, key), "param '" + std::string(key) + "'",
+                    fallback);
 }
 
 bool param_bool(const obs::json::Value& doc, std::string_view key,
@@ -202,23 +206,21 @@ std::string Engine::handle(std::string_view request_json,
     }
     const std::string& method = method_value->string;
 
-    std::uint64_t deadline_ms = options_.default_deadline_ms;
-    if (const obs::json::Value* d = doc.find("deadline_ms"))
-        if (d->is_number() && d->number >= 0)
-            deadline_ms = static_cast<std::uint64_t>(d->number);
-    if (deadline_ms && ms_since(received) >= static_cast<double>(deadline_ms)) {
-        // Expired while queued: reject before doing any work — that is
-        // the whole point of admission-time deadlines.
-        deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-        obs::counter("serve.deadline_exceeded").add(1);
-        requests_failed_.fetch_add(1, std::memory_order_relaxed);
-        return error_response(id, "serve.deadline",
-                              "deadline of " + std::to_string(deadline_ms) +
-                                  " ms expired before the request started");
-    }
-
     std::string response;
     try {
+        const std::uint64_t deadline_ms =
+            count_or(doc.find("deadline_ms"), "field 'deadline_ms'",
+                     options_.default_deadline_ms);
+        if (deadline_ms && ms_since(received) >= static_cast<double>(deadline_ms)) {
+            // Expired while queued: reject before doing any work — that is
+            // the whole point of admission-time deadlines.
+            deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+            obs::counter("serve.deadline_exceeded").add(1);
+            requests_failed_.fetch_add(1, std::memory_order_relaxed);
+            return error_response(id, "serve.deadline",
+                                  "deadline of " + std::to_string(deadline_ms) +
+                                      " ms expired before the request started");
+        }
         response = dispatch(id, method, doc, received, deadline_ms);
     } catch (const BadParam& e) {
         obs::counter("serve.bad_requests").add(1);

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "obs/obs.hpp"
+#include "taskgraph/graph.hpp"
 
 namespace uhcg::sim {
 
@@ -121,19 +122,18 @@ struct Simulator::Net {
 
     std::map<const Block*, int> first_slot_of;  // atomic block → output slot
 
-    Driver resolve_output(const System& sys, PortRef src, const System& root) {
-        (void)sys;  // kept for symmetry with callers resolving within a system
+    Driver resolve_output(PortRef src, const System& root) {
         Block& b = *src.block;
         if (b.type() == BlockType::SubSystem) {
             // Dive: the inner Outport with Port == src.port.
             for (Block* inner : b.system()->blocks()) {
                 if (inner->type() == BlockType::Outport &&
                     port_number(*inner) == src.port) {
-                    const Line* line = b.system()->line_into({inner, 1});
+                    const Line* line = inner->line_into(1);
                     if (!line)
                         throw std::runtime_error("undriven Outport '" +
                                                  full_path(*inner) + "'");
-                    return resolve_output(*b.system(), line->source(), root);
+                    return resolve_output(line->source(), root);
                 }
             }
             throw std::runtime_error("subsystem '" + full_path(b) +
@@ -142,13 +142,12 @@ struct Simulator::Net {
         if (b.type() == BlockType::Inport && is_marker(b, root)) {
             // Surface: the owning subsystem's input port in the parent.
             Block* owner = b.parent()->owner_block();
-            const System* parent = owner->parent();
-            const Line* line = parent->line_into({owner, port_number(b)});
+            const Line* line = owner->line_into(port_number(b));
             if (!line)
                 throw std::runtime_error("undriven subsystem input " +
                                          std::to_string(port_number(b)) + " of '" +
                                          full_path(*owner) + "'");
-            return resolve_output(*parent, line->source(), root);
+            return resolve_output(line->source(), root);
         }
         if (b.type() == BlockType::Inport) {
             // Root Inport: external input.
@@ -202,77 +201,55 @@ Simulator::Simulator(const simulink::Model& model,
     for (const Block* b : atomics) {
         Pending p{b, {}};
         for (int port = 1; port <= b->input_count(); ++port) {
-            const System& sys = *b->parent();
-            const Line* line = sys.line_into({const_cast<Block*>(b), port});
+            const Line* line = b->line_into(port);
             if (!line) {
                 p.input_slots.push_back(-1);
                 continue;
             }
             p.input_slots.push_back(
-                net.resolve_output(sys, line->source(), root).slot);
+                net.resolve_output(line->source(), root).slot);
         }
         pending.push_back(std::move(p));
     }
 
     // Pass 3: topological order of the combinational dependency graph.
     // UnitDelay outputs are state, so they impose no ordering as drivers.
-    std::map<const Block*, std::size_t> index_of;
-    for (std::size_t i = 0; i < atomics.size(); ++i) index_of[atomics[i]] = i;
-    std::vector<std::vector<std::size_t>> consumers(atomics.size());
-    std::vector<std::size_t> unmet(atomics.size(), 0);
-    // Slot → owning block, built once (slots are contiguous per block).
-    std::vector<const Block*> slot_owner(net.value_count, nullptr);
-    for (const auto& [b, first] : net.first_slot_of) {
-        int count = std::max(1, b->output_count());
-        for (int s = 0; s < count; ++s)
-            slot_owner[static_cast<std::size_t>(first + s)] = b;
+    // Slot → index of the owning atomic block (slots are contiguous per block).
+    std::vector<std::size_t> slot_owner(net.value_count);
+    for (std::size_t i = 0; i < atomics.size(); ++i) {
+        const int first = net.first_slot_of[atomics[i]];
+        for (int s = 0; s < std::max(1, atomics[i]->output_count()); ++s)
+            slot_owner[static_cast<std::size_t>(first + s)] = i;
     }
-    auto block_of_slot = [&](int slot) -> const Block* {
-        return slot_owner[static_cast<std::size_t>(slot)];
+    auto driver_of = [&](int slot) -> std::optional<std::size_t> {
+        if (slot < 0) return std::nullopt;
+        const std::size_t d = slot_owner[static_cast<std::size_t>(slot)];
+        if (atomics[d]->type() == BlockType::UnitDelay) return std::nullopt;
+        return d;
     };
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        for (int slot : pending[i].input_slots) {
-            if (slot < 0) continue;
-            const Block* driver = block_of_slot(slot);
-            if (!driver || driver->type() == BlockType::UnitDelay) continue;
-            consumers[index_of[driver]].push_back(i);
-            ++unmet[i];
-        }
-    }
-    std::vector<std::size_t> order;
-    std::vector<std::size_t> ready;
-    for (std::size_t i = 0; i < atomics.size(); ++i)
-        if (unmet[i] == 0) ready.push_back(i);
-    while (!ready.empty()) {
-        // Deterministic: lowest index first.
-        auto it = std::min_element(ready.begin(), ready.end());
-        std::size_t i = *it;
-        ready.erase(it);
-        order.push_back(i);
-        for (std::size_t c : consumers[i])
-            if (--unmet[c] == 0) ready.push_back(c);
-    }
-    if (order.size() != atomics.size()) {
+    std::vector<std::vector<std::size_t>> consumers(atomics.size());
+    for (std::size_t i = 0; i < pending.size(); ++i)
+        for (int slot : pending[i].input_slots)
+            if (auto d = driver_of(slot)) consumers[*d].push_back(i);
+    const taskgraph::TopoSort sorted = taskgraph::topological_sort(consumers);
+    if (!sorted.stuck.empty()) {
+        std::vector<bool> stuck(atomics.size(), false);
+        for (std::size_t i : sorted.stuck) stuck[i] = true;
         std::vector<std::string> cycle;
         std::vector<CycleEdge> edges;
-        for (std::size_t i = 0; i < atomics.size(); ++i) {
-            if (unmet[i] == 0) continue;
+        for (std::size_t i : sorted.stuck) {
             cycle.push_back(full_path(*atomics[i]));
             // Edges among the stuck blocks show the actual loop.
-            for (int slot : pending[i].input_slots) {
-                if (slot < 0) continue;
-                const Block* driver = block_of_slot(slot);
-                if (!driver || driver->type() == BlockType::UnitDelay) continue;
-                auto di = index_of.find(driver);
-                if (di != index_of.end() && unmet[di->second] != 0)
-                    edges.push_back({full_path(*driver), full_path(*atomics[i])});
-            }
+            for (int slot : pending[i].input_slots)
+                if (auto d = driver_of(slot); d && stuck[*d])
+                    edges.push_back(
+                        {full_path(*atomics[*d]), full_path(*atomics[i])});
         }
         throw DeadlockError(std::move(cycle), std::move(edges));
     }
 
     // Pass 4: materialize schedule-ordered atomic records.
-    for (std::size_t i : order) {
+    for (std::size_t i : sorted.order) {
         const Block* b = atomics[i];
         Net::AtomicBlock rec;
         rec.block = b;

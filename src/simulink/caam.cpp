@@ -143,7 +143,7 @@ std::vector<std::string> validate_caam(const Model& model) {
         }
         // C5: all inputs driven.
         for (int port = 1; port <= b.input_count(); ++port) {
-            if (!owner.line_into({const_cast<Block*>(&b), port}))
+            if (!b.line_into(port))
                 problems.push_back("C5: input " + std::to_string(port) +
                                    " of block '" + b.name() + "' in system '" +
                                    owner.name() + "' is undriven");

@@ -75,14 +75,13 @@ Block::Block(std::string name, BlockType type, System* parent)
         case BlockType::SubSystem:
         case BlockType::SFunction: inputs_ = 0; outputs_ = 0; break;
     }
+    lines_ = std::make_unique<Line*[]>(static_cast<std::size_t>(inputs_ + outputs_));
     if (type_ == BlockType::SubSystem)
         system_ = std::make_unique<System>(name_, this,
                                            parent_ ? parent_->model() : nullptr);
 }
 
 Block::~Block() = default;
-
-void Block::rename(std::string name) { name_ = std::move(name); }
 
 void Block::set_parameter(std::string_view key, std::string_view value) {
     params_.insert_or_assign(std::string(key), std::string(value));
@@ -98,11 +97,40 @@ std::string Block::parameter_or(std::string_view key, std::string fallback) cons
     return fallback;
 }
 
+namespace {
+
+/// The slot of a 1-based port among `count` slots; nullptr when out of range.
+Line* slot(Line* const* slots, int count, int port) {
+    return port >= 1 && port <= count ? slots[port - 1] : nullptr;
+}
+
+}  // namespace
+
 void Block::set_ports(int inputs, int outputs) {
     if (inputs < 0 || outputs < 0)
         throw std::invalid_argument("negative port count on block " + name_);
+    auto connected = [](const Line* l) { return l != nullptr; };
+    if (std::any_of(in_lines() + std::min(inputs, inputs_), in_lines() + inputs_,
+                    connected) ||
+        std::any_of(out_lines() + std::min(outputs, outputs_),
+                    out_lines() + outputs_, connected))
+        throw std::invalid_argument("cannot drop a connected port of block " +
+                                    name_);
+    auto lines = std::make_unique<Line*[]>(static_cast<std::size_t>(inputs) +
+                                           static_cast<std::size_t>(outputs));
+    std::copy_n(in_lines(), std::min(inputs, inputs_), lines.get());
+    std::copy_n(out_lines(), std::min(outputs, outputs_), lines.get() + inputs);
+    lines_ = std::move(lines);
     inputs_ = inputs;
     outputs_ = outputs;
+}
+
+const Line* Block::line_into(int port) const {
+    return slot(in_lines(), inputs_, port);
+}
+
+const Line* Block::line_from(int port) const {
+    return slot(out_lines(), outputs_, port);
 }
 
 void Block::set_input_name(int port, std::string name) {
@@ -147,8 +175,10 @@ Block& System::add_block(std::string name, BlockType type) {
     if (find_block(name))
         throw std::invalid_argument("duplicate block name '" + name +
                                     "' in system " + name_);
-    blocks_.push_back(std::make_unique<Block>(std::move(name), type, this));
-    return *blocks_.back();
+    Block& block =
+        *blocks_.emplace_back(std::make_unique<Block>(std::move(name), type, this));
+    by_name_.emplace(block.name(), &block);
+    return block;
 }
 
 Block& System::add_subsystem(std::string name, CaamRole role) {
@@ -158,15 +188,20 @@ Block& System::add_subsystem(std::string name, CaamRole role) {
 }
 
 Block* System::find_block(std::string_view name) {
-    for (const auto& b : blocks_)
-        if (b->name() == name) return b.get();
-    return nullptr;
+    auto it = by_name_.find(name);
+    return it == by_name_.end() ? nullptr : it->second;
 }
 
 const Block* System::find_block(std::string_view name) const {
-    for (const auto& b : blocks_)
-        if (b->name() == name) return b.get();
-    return nullptr;
+    auto it = by_name_.find(name);
+    return it == by_name_.end() ? nullptr : it->second;
+}
+
+std::string System::unique_name(const std::string& hint) const {
+    if (!find_block(hint)) return hint;
+    int i = 1;
+    while (find_block(hint + "_" + std::to_string(i))) ++i;
+    return hint + "_" + std::to_string(i);
 }
 
 std::vector<Block*> System::blocks() {
@@ -196,35 +231,19 @@ std::vector<Block*> System::blocks_with_role(CaamRole role) {
 }
 
 void System::remove_block(Block& block) {
-    // Drop every line endpoint referring to the block first.
-    for (auto it = lines_.begin(); it != lines_.end();) {
-        Line& line = **it;
-        if (line.source().block == &block) {
-            it = lines_.erase(it);
-            continue;
-        }
-        auto dsts = line.destinations();
-        for (const PortRef& d : dsts)
-            if (d.block == &block) line.remove_destination(d);
-        if (line.destinations().empty()) {
-            it = lines_.erase(it);
-            continue;
-        }
-        ++it;
-    }
     auto it = std::find_if(blocks_.begin(), blocks_.end(),
                            [&](const auto& b) { return b.get() == &block; });
     if (it == blocks_.end())
         throw std::invalid_argument("block '" + block.name() +
                                     "' is not in system " + name_);
+    // Drop every line endpoint referring to the block first.
+    for (int port = 1; port <= block.output_count(); ++port)
+        if (Line* line = block.out_lines()[port - 1]) remove_line(*line);
+    for (int port = 1; port <= block.input_count(); ++port)
+        if (Line* line = block.in_lines()[port - 1])
+            disconnect(*line, {&block, port});
+    by_name_.erase(block.name());
     blocks_.erase(it);
-}
-
-bool Line::remove_destination(const PortRef& dst) {
-    auto it = std::find(dsts_.begin(), dsts_.end(), dst);
-    if (it == dsts_.end()) return false;
-    dsts_.erase(it);
-    return true;
 }
 
 Line& System::add_line(PortRef src, PortRef dst, std::string name) {
@@ -239,46 +258,42 @@ Line& System::add_line(PortRef src, PortRef dst, std::string name) {
     if (dst.port < 1 || dst.port > dst.block->input_count())
         throw std::invalid_argument("destination port " + std::to_string(dst.port) +
                                     " out of range on block " + dst.block->name());
-    if (line_into(dst))
+    Line*& into = dst.block->in_lines()[dst.port - 1];
+    if (into)
         throw std::invalid_argument("input port " + std::to_string(dst.port) +
                                     " of block " + dst.block->name() +
                                     " is already driven");
     // Simulink semantics: one line per source port; further sinks branch.
-    if (Line* existing = line_from(src)) {
-        existing->add_destination(dst);
-        if (existing->name().empty() && !name.empty())
-            existing->set_name(std::move(name));
-        return *existing;
-    }
-    lines_.push_back(std::make_unique<Line>(src, std::move(name)));
-    lines_.back()->add_destination(dst);
-    return *lines_.back();
+    Line*& from = src.block->out_lines()[src.port - 1];
+    if (!from) from = lines_.emplace_back(std::make_unique<Line>(src, "")).get();
+    if (from->name().empty() && !name.empty()) from->set_name(std::move(name));
+    from->dsts_.push_back(dst);
+    into = from;
+    return *from;
 }
 
 Line* System::line_from(const PortRef& src) {
-    for (const auto& l : lines_)
-        if (l->source() == src) return l.get();
-    return nullptr;
+    return src.block && src.block->parent() == this
+               ? slot(src.block->out_lines(), src.block->outputs_, src.port)
+               : nullptr;
 }
 
 const Line* System::line_from(const PortRef& src) const {
-    for (const auto& l : lines_)
-        if (l->source() == src) return l.get();
-    return nullptr;
+    return src.block && src.block->parent() == this
+               ? slot(src.block->out_lines(), src.block->outputs_, src.port)
+               : nullptr;
 }
 
 Line* System::line_into(const PortRef& dst) {
-    for (const auto& l : lines_)
-        for (const PortRef& d : l->destinations())
-            if (d == dst) return l.get();
-    return nullptr;
+    return dst.block && dst.block->parent() == this
+               ? slot(dst.block->in_lines(), dst.block->inputs_, dst.port)
+               : nullptr;
 }
 
 const Line* System::line_into(const PortRef& dst) const {
-    for (const auto& l : lines_)
-        for (const PortRef& d : l->destinations())
-            if (d == dst) return l.get();
-    return nullptr;
+    return dst.block && dst.block->parent() == this
+               ? slot(dst.block->in_lines(), dst.block->inputs_, dst.port)
+               : nullptr;
 }
 
 std::vector<Line*> System::lines() {
@@ -298,7 +313,21 @@ void System::remove_line(Line& line) {
                            [&](const auto& l) { return l.get() == &line; });
     if (it == lines_.end())
         throw std::invalid_argument("line is not in system " + name_);
+    const PortRef& src = line.source();
+    src.block->out_lines()[src.port - 1] = nullptr;
+    for (const PortRef& dst : line.destinations())
+        dst.block->in_lines()[dst.port - 1] = nullptr;
     lines_.erase(it);
+}
+
+void System::disconnect(Line& line, const PortRef& dst) {
+    auto it = std::find(line.dsts_.begin(), line.dsts_.end(), dst);
+    if (line.source().block->parent() != this || it == line.dsts_.end())
+        throw std::invalid_argument("not a destination of a line in system " +
+                                    name_);
+    line.dsts_.erase(it);
+    dst.block->in_lines()[dst.port - 1] = nullptr;
+    if (line.destinations().empty()) remove_line(line);
 }
 
 std::size_t System::total_blocks() const {

@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace uhcg::simulink {
@@ -58,6 +59,7 @@ inline constexpr const char* kProtocolSwFifo = "SWFIFO";
 inline constexpr const char* kProtocolGFifo = "GFIFO";
 
 class Block;
+class Line;
 
 /// A port reference: block + 1-based port number (Simulink convention).
 struct PortRef {
@@ -78,7 +80,6 @@ public:
     Block& operator=(const Block&) = delete;
 
     const std::string& name() const { return name_; }
-    void rename(std::string name);
     BlockType type() const { return type_; }
     System* parent() const { return parent_; }
 
@@ -98,7 +99,12 @@ public:
     /// other blocks are sized by the mapping.
     int input_count() const { return inputs_; }
     int output_count() const { return outputs_; }
+    /// Throws std::invalid_argument rather than drop a connected port.
     void set_ports(int inputs, int outputs);
+
+    /// Line feeding input / driven by output `port`, else nullptr. O(1).
+    const Line* line_into(int port) const;
+    const Line* line_from(int port) const;
 
     /// Names attached to ports (used for generated Inport/Outport labels
     /// and for S-function argument names). 1-based lookup; empty when the
@@ -119,12 +125,17 @@ public:
     bool is_channel() const { return type_ == BlockType::CommChannel; }
 
 private:
+    Line** in_lines() const { return lines_.get(); }
+    Line** out_lines() const { return lines_.get() + inputs_; }
+
     std::string name_;
     BlockType type_;
-    System* parent_;
     CaamRole role_ = CaamRole::None;
+    System* parent_;
     int inputs_ = 0;
     int outputs_ = 0;
+    /// One line slot per port, inputs first; only System writes them.
+    std::unique_ptr<Line*[]> lines_;
     std::map<std::string, std::string, std::less<>> params_;
     std::map<int, std::string> input_names_;
     std::map<int, std::string> output_names_;
@@ -139,20 +150,22 @@ public:
 
     const PortRef& source() const { return src_; }
     const std::vector<PortRef>& destinations() const { return dsts_; }
-    void add_destination(PortRef dst) { dsts_.push_back(dst); }
-    bool remove_destination(const PortRef& dst);
 
     /// Signal name (the UML argument name that produced the link).
     const std::string& name() const { return name_; }
     void set_name(std::string name) { name_ = std::move(name); }
 
 private:
+    friend class System;  // the only writer of destinations, see System
+
     PortRef src_;
     std::vector<PortRef> dsts_;
     std::string name_;
 };
 
 /// A container of blocks and lines: the model root or a subsystem body.
+/// Its mutators alone keep the name index and the blocks' port slots, so
+/// lookups by name or port are O(1) (invariants: DESIGN.md §17).
 class System {
 public:
     friend class Model;
@@ -171,6 +184,8 @@ public:
     Block& add_subsystem(std::string name, CaamRole role = CaamRole::None);
     Block* find_block(std::string_view name);
     const Block* find_block(std::string_view name) const;
+    /// `hint` if unused, else the first free `hint_1`, `hint_2`, ...
+    std::string unique_name(const std::string& hint) const;
     std::vector<Block*> blocks();
     std::vector<const Block*> blocks() const;
     std::vector<Block*> blocks_of(BlockType type);
@@ -189,6 +204,8 @@ public:
     std::vector<Line*> lines();
     std::vector<const Line*> lines() const;
     void remove_line(Line& line);
+    /// Detaches `dst` from `line`, removing the line with its last destination.
+    void disconnect(Line& line, const PortRef& dst);
 
     /// Deep counts over this system and all nested subsystems.
     std::size_t total_blocks() const;
@@ -199,6 +216,8 @@ private:
     Block* owner_;
     Model* model_;
     std::vector<std::unique_ptr<Block>> blocks_;
+    /// Keyed on each block's own name_, which lives as long as the entry.
+    std::unordered_map<std::string_view, Block*> by_name_;
     std::vector<std::unique_ptr<Line>> lines_;
 };
 

@@ -56,43 +56,43 @@ double TaskGraph::total_edge_cost() const {
     return sum;
 }
 
-bool TaskGraph::is_acyclic() const {
-    // Kahn's algorithm: a DAG consumes every node.
-    std::vector<std::size_t> indegree(task_count());
-    for (const Edge& e : edges_) ++indegree[e.to];
-    std::vector<TaskIndex> ready;
-    for (TaskIndex t = 0; t < task_count(); ++t)
-        if (indegree[t] == 0) ready.push_back(t);
-    std::size_t seen = 0;
+TopoSort topological_sort(const std::vector<std::vector<std::size_t>>& successors) {
+    const std::size_t n = successors.size();
+    std::vector<std::size_t> indegree(n, 0);
+    for (const auto& next : successors)
+        for (std::size_t v : next) ++indegree[v];
+    TopoSort result;
+    result.order.reserve(n);
+    std::priority_queue<std::size_t, std::vector<std::size_t>, std::greater<>> ready;
+    for (std::size_t v = 0; v < n; ++v)
+        if (indegree[v] == 0) ready.push(v);
     while (!ready.empty()) {
-        TaskIndex t = ready.back();
-        ready.pop_back();
-        ++seen;
-        for (std::size_t e : out_[t])
-            if (--indegree[edges_[e].to] == 0) ready.push_back(edges_[e].to);
+        std::size_t v = ready.top();
+        ready.pop();
+        result.order.push_back(v);
+        for (std::size_t w : successors[v])
+            if (--indegree[w] == 0) ready.push(w);
     }
-    return seen == task_count();
+    for (std::size_t v = 0; v < n; ++v)
+        if (indegree[v] != 0) result.stuck.push_back(v);
+    return result;
+}
+
+std::vector<std::vector<TaskIndex>> TaskGraph::successor_lists() const {
+    std::vector<std::vector<TaskIndex>> successors(task_count());
+    for (TaskIndex t = 0; t < task_count(); ++t)
+        for (std::size_t e : out_[t]) successors[t].push_back(edges_[e].to);
+    return successors;
+}
+
+bool TaskGraph::is_acyclic() const {
+    return topological_sort(successor_lists()).stuck.empty();
 }
 
 std::vector<TaskIndex> TaskGraph::topological_order() const {
-    std::vector<std::size_t> indegree(task_count());
-    for (const Edge& e : edges_) ++indegree[e.to];
-    // Always pop the smallest ready index so the order is deterministic.
-    std::vector<TaskIndex> order;
-    order.reserve(task_count());
-    std::priority_queue<TaskIndex, std::vector<TaskIndex>, std::greater<>> ready;
-    for (TaskIndex t = 0; t < task_count(); ++t)
-        if (indegree[t] == 0) ready.push(t);
-    while (!ready.empty()) {
-        TaskIndex t = ready.top();
-        ready.pop();
-        order.push_back(t);
-        for (std::size_t e : out_[t])
-            if (--indegree[edges_[e].to] == 0) ready.push(edges_[e].to);
-    }
-    if (order.size() != task_count())
-        throw std::logic_error("task graph contains a cycle");
-    return order;
+    TopoSort sorted = topological_sort(successor_lists());
+    if (!sorted.stuck.empty()) throw std::logic_error("task graph contains a cycle");
+    return std::move(sorted.order);
 }
 
 std::vector<double> TaskGraph::top_levels() const {

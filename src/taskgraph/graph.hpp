@@ -23,6 +23,14 @@ struct Edge {
     double cost = 0.0;  ///< communication cost (transferred data)
 };
 
+/// Kahn's algorithm, smallest ready index first, on successor lists (a
+/// repeated successor is one more edge). `stuck`: vertices left with unmet
+/// predecessors, ascending; empty iff acyclic.
+struct TopoSort {
+    std::vector<std::size_t> order, stuck;
+};
+TopoSort topological_sort(const std::vector<std::vector<std::size_t>>& successors);
+
 /// A DAG of tasks. Parallel edges between the same pair are merged by
 /// summing their costs (several messages between two threads accumulate).
 class TaskGraph {
@@ -70,6 +78,8 @@ public:
     std::vector<TaskIndex> critical_path() const;
 
 private:
+    std::vector<std::vector<TaskIndex>> successor_lists() const;
+
     std::vector<std::string> names_;
     std::vector<double> weights_;
     std::vector<Edge> edges_;

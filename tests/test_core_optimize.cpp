@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cases/cases.hpp"
@@ -306,6 +307,53 @@ TEST(TemporalBarriers, DeepRingNeedsNoDeepStack) {
     }));
     EXPECT_EQ(inserted, 1u);
     EXPECT_FALSE(cycle_left);
+}
+
+TEST(TemporalBarriers, DeepNestingNeedsNoDeepStack) {
+    // A Gain at the root feeds a chain of 20,000 nested SubSystems whose
+    // innermost Gain feeds back out: one combinational loop through every
+    // level. Both passes visit the nesting bottom-up on a 1 MiB stack; one
+    // call frame per level would overflow it.
+    constexpr int kDepth = 20000;
+    simulink::Model m("nest");
+    Block& g = m.root().add_block("g", BlockType::Gain);
+    simulink::System* sys = &m.root();
+    std::vector<std::pair<simulink::System*, Block*>> levels;
+    for (int level = 0; level < kDepth; ++level) {
+        Block& sub = sys->add_subsystem("s" + std::to_string(level));
+        sub.set_ports(1, 1);
+        if (!levels.empty()) {
+            sys->add_line({sys->find_block("in"), 1}, {&sub, 1});
+            sys->add_line({&sub, 1}, {sys->find_block("out"), 1});
+        } else {
+            sys->add_line({&g, 1}, {&sub, 1});
+            sys->add_line({&sub, 1}, {&g, 1});
+        }
+        levels.emplace_back(sys, &sub);
+        sys = sub.system();
+        sys->add_block("in", BlockType::Inport).set_parameter("Port", "1");
+        sys->add_block("out", BlockType::Outport).set_parameter("Port", "1");
+    }
+    Block& inner = sys->add_block("k", BlockType::Gain);
+    sys->add_line({sys->find_block("in"), 1}, {&inner, 1});
+    sys->add_line({&inner, 1}, {sys->find_block("out"), 1});
+
+    std::size_t inserted = 0;
+    bool cycle_before = false;
+    bool cycle_left = true;
+    ASSERT_TRUE(run_with_stack(1u << 20, [&] {
+        cycle_before = has_combinational_cycle(m);
+        inserted = insert_temporal_barriers(m).inserted;
+        cycle_left = has_combinational_cycle(m);
+    }));
+    EXPECT_TRUE(cycle_before);
+    EXPECT_EQ(inserted, 1u);
+    EXPECT_FALSE(cycle_left);
+    EXPECT_FALSE(m.root().blocks_of(BlockType::UnitDelay).empty());
+    // Tear the nest down from the inside, so the destructors do not recurse
+    // once per level either.
+    for (auto it = levels.rbegin(); it != levels.rend(); ++it)
+        it->first->remove_block(*it->second);
 }
 
 TEST(TemporalBarriers, AcyclicModelUntouched) {

@@ -575,6 +575,34 @@ TEST_F(ServerFixture, OutOfRangeCountParamsAreBadRequests) {
     server.stop();
 }
 
+TEST_F(ServerFixture, OutOfRangeDeadlineIsABadRequest) {
+    serve::ServerOptions options;
+    options.socket_path = socket_path();
+    serve::Server server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+
+    // The top-level deadline_ms follows the count-param rule: a negative
+    // value was silently ignored and 1e300 overflowed the cast.
+    int fd = connect_unix(options.socket_path);
+    ASSERT_GE(fd, 0);
+    int id = 0;
+    for (const char* deadline : {"-1", "2.5", "1e300"}) {
+        std::string response =
+            rpc(fd, "{\"method\":\"ping\",\"id\":" + std::to_string(++id) +
+                        ",\"deadline_ms\":" + deadline + "}");
+        EXPECT_EQ(error_code(response), "serve.bad-request")
+            << deadline << ": " << response;
+        EXPECT_NE(response.find("'deadline_ms'"), std::string::npos) << response;
+        EXPECT_TRUE(response_ok(rpc(
+            fd, "{\"method\":\"ping\",\"id\":" + std::to_string(++id) + "}")));
+    }
+    EXPECT_TRUE(response_ok(
+        rpc(fd, "{\"method\":\"ping\",\"id\":99,\"deadline_ms\":60000}")));
+    ::close(fd);
+    server.stop();
+}
+
 TEST_F(ServerFixture, InvalidJsonOverTheWireIsAParseError) {
     serve::ServerOptions options;
     options.socket_path = socket_path();

@@ -2,6 +2,11 @@
 // and structural validation.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "simulink/caam.hpp"
 #include "simulink/dot.hpp"
 #include "simulink/generic.hpp"
@@ -94,6 +99,144 @@ TEST(SimulinkModel, RemoveBlockCleansLines) {
     EXPECT_EQ(m.root().lines()[0]->destinations().size(), 1u);
     m.root().remove_block(g2);
     EXPECT_TRUE(m.root().lines().empty());  // lost its last destination
+}
+
+TEST(SimulinkModel, SetPortsKeepsConnectedPorts) {
+    Model m("m");
+    Block& c = m.root().add_block("c", BlockType::Constant);
+    Block& s = m.root().add_block("s", BlockType::SFunction);
+    s.set_ports(3, 2);
+    m.root().add_line({&c, 1}, {&s, 2});
+    m.root().add_line({&s, 2}, {&s, 3});
+    EXPECT_THROW(s.set_ports(1, 2), std::invalid_argument);  // drops input 2
+    EXPECT_THROW(s.set_ports(3, 1), std::invalid_argument);  // drops output 2
+    s.set_ports(4, 3);  // growing keeps every connection
+    EXPECT_EQ(s.line_into(2), m.root().line_from({&c, 1}));
+    EXPECT_EQ(s.line_from(2), s.line_into(3));
+    m.root().disconnect(*m.root().line_from({&s, 2}), {&s, 3});
+    s.set_ports(2, 0);  // nothing connected beyond input 2 any more
+    EXPECT_EQ(s.line_into(2), m.root().line_from({&c, 1}));
+    EXPECT_EQ(m.root().lines().size(), 1u);
+}
+
+// The linear scans System answered its lookups with before blocks kept
+// per-port line slots and systems a name index; the oracle for both.
+namespace reference {
+
+const Line* line_from(System& sys, const PortRef& src) {
+    for (const Line* l : sys.lines())
+        if (l->source() == src) return l;
+    return nullptr;
+}
+
+const Line* line_into(System& sys, const PortRef& dst) {
+    for (const Line* l : sys.lines())
+        for (const PortRef& d : l->destinations())
+            if (d == dst) return l;
+    return nullptr;
+}
+
+const Block* find_block(System& sys, std::string_view name) {
+    for (const Block* b : sys.blocks())
+        if (b->name() == name) return b;
+    return nullptr;
+}
+
+}  // namespace reference
+
+TEST(SimulinkModel, ConnectivityMatchesLinearScans) {
+    constexpr int kNames = 24;
+    for (unsigned seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+        std::mt19937 rng(seed);
+        auto pick = [&](std::size_t n) {
+            return static_cast<std::size_t>(rng() % n);
+        };
+        Model m("m");
+        System& sys = m.root();
+        const BlockType types[] = {BlockType::Gain, BlockType::Sum,
+                                   BlockType::Constant, BlockType::Scope,
+                                   BlockType::SFunction, BlockType::UnitDelay};
+        for (int step = 0; step < 600; ++step) {
+            std::vector<Block*> blocks = sys.blocks();
+            std::vector<Line*> lines = sys.lines();
+            const std::size_t op = pick(10);
+            if (op < 3 || blocks.size() < 2) {  // add_block
+                std::string name = "b" + std::to_string(pick(kNames));
+                if (reference::find_block(sys, name)) {
+                    EXPECT_THROW(sys.add_block(name, BlockType::Gain),
+                                 std::invalid_argument);
+                    name = sys.unique_name(name);
+                    EXPECT_EQ(reference::find_block(sys, name), nullptr);
+                }
+                Block& b = sys.add_block(name, types[pick(std::size(types))]);
+                if (b.type() == BlockType::SFunction)
+                    b.set_ports(static_cast<int>(pick(4)),
+                                static_cast<int>(pick(4)));
+            } else if (op < 6) {  // add_line, branching when the source is in use
+                Block* src = blocks[pick(blocks.size())];
+                Block* dst = blocks[pick(blocks.size())];
+                if (src->output_count() == 0 || dst->input_count() == 0) continue;
+                PortRef from{src, 1 + static_cast<int>(pick(src->output_count()))};
+                PortRef to{dst, 1 + static_cast<int>(pick(dst->input_count()))};
+                const Line* branch = reference::line_from(sys, from);
+                if (reference::line_into(sys, to)) {
+                    EXPECT_THROW(sys.add_line(from, to), std::invalid_argument);
+                } else {
+                    Line& line = sys.add_line(from, to);
+                    if (branch) {
+                        EXPECT_EQ(&line, branch);
+                    }
+                }
+            } else if (op == 6 && !lines.empty()) {
+                sys.remove_line(*lines[pick(lines.size())]);
+            } else if (op == 7 && !lines.empty()) {
+                Line* line = lines[pick(lines.size())];
+                const std::vector<PortRef>& dsts = line->destinations();
+                const PortRef dst = dsts[pick(dsts.size())];
+                const bool last = dsts.size() == 1;
+                sys.disconnect(*line, dst);
+                EXPECT_EQ(sys.lines().size(), lines.size() - (last ? 1 : 0));
+            } else if (op == 8) {
+                sys.remove_block(*blocks[pick(blocks.size())]);
+            } else {  // set_ports, rejected when it would drop a connection
+                Block* b = blocks[pick(blocks.size())];
+                if (b->type() != BlockType::SFunction) continue;
+                const int inputs = static_cast<int>(pick(4));
+                const int outputs = static_cast<int>(pick(4));
+                bool drops = false;
+                for (int p = inputs + 1; p <= b->input_count(); ++p)
+                    drops = drops || reference::line_into(sys, {b, p});
+                for (int p = outputs + 1; p <= b->output_count(); ++p)
+                    drops = drops || reference::line_from(sys, {b, p});
+                if (drops)
+                    EXPECT_THROW(b->set_ports(inputs, outputs),
+                                 std::invalid_argument);
+                else
+                    b->set_ports(inputs, outputs);
+            }
+
+            // Every port, in range or one past either end, and every name.
+            for (Block* b : sys.blocks()) {
+                ASSERT_EQ(sys.find_block(b->name()), b);
+                for (int p = 0; p <= b->input_count() + 1; ++p) {
+                    const Line* expected = reference::line_into(sys, {b, p});
+                    ASSERT_EQ(sys.line_into({b, p}), expected)
+                        << "seed " << seed << " step " << step;
+                    ASSERT_EQ(b->line_into(p), expected);
+                }
+                for (int p = 0; p <= b->output_count() + 1; ++p) {
+                    const Line* expected = reference::line_from(sys, {b, p});
+                    ASSERT_EQ(sys.line_from({b, p}), expected)
+                        << "seed " << seed << " step " << step;
+                    ASSERT_EQ(b->line_from(p), expected);
+                }
+            }
+            for (int n = 0; n < kNames; ++n) {
+                const std::string name = "b" + std::to_string(n);
+                ASSERT_EQ(sys.find_block(name), reference::find_block(sys, name));
+            }
+        }
+    }
 }
 
 TEST(SimulinkModel, DeepCounts) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -400,6 +401,34 @@ std::vector<TaskIndex> topological_order(const TaskGraph& g) {
     return order;
 }
 
+/// The same scan on bare successor lists, as the simulator, the C emitter
+/// and the pass manager each used to run it: the order, and the vertices
+/// left with a non-zero indegree.
+struct KahnResult {
+    std::vector<std::size_t> order;
+    std::vector<std::size_t> stuck;
+};
+KahnResult kahn(const std::vector<std::vector<std::size_t>>& successors) {
+    std::vector<std::size_t> indegree(successors.size(), 0);
+    for (const auto& next : successors)
+        for (std::size_t v : next) ++indegree[v];
+    KahnResult result;
+    std::vector<std::size_t> ready;
+    for (std::size_t v = 0; v < successors.size(); ++v)
+        if (indegree[v] == 0) ready.push_back(v);
+    while (!ready.empty()) {
+        auto it = std::min_element(ready.begin(), ready.end());
+        std::size_t v = *it;
+        ready.erase(it);
+        result.order.push_back(v);
+        for (std::size_t w : successors[v])
+            if (--indegree[w] == 0) ready.push_back(w);
+    }
+    for (std::size_t v = 0; v < successors.size(); ++v)
+        if (indegree[v] != 0) result.stuck.push_back(v);
+    return result;
+}
+
 /// Dense renumbering by first appearance through an ordered map.
 std::vector<int> normalized(std::vector<int> assignment) {
     std::map<int, int> remap;
@@ -544,6 +573,41 @@ TEST(ReferenceOracle, TopologicalOrderMatchesLinearScanKahn) {
             TaskGraph g = shaped_graph(shape, seed);
             EXPECT_EQ(g.topological_order(), reference::topological_order(g))
                 << "tasks=" << shape.tasks << " seed=" << seed;
+        }
+    }
+
+    // The shared routine on raw successor lists: relabelled DAGs, then the
+    // same graphs with back edges. Repeated successors stand for the
+    // simulator's one edge per connected input port.
+    for (std::size_t n : {1u, 7u, 60u, 240u}) {
+        for (unsigned seed : {1u, 2u, 3u}) {
+            std::mt19937 rng(seed);
+            std::vector<std::size_t> label(n);
+            std::iota(label.begin(), label.end(), std::size_t{0});
+            std::shuffle(label.begin(), label.end(), rng);
+            std::vector<std::vector<std::size_t>> successors(n);
+            for (std::size_t i = 0; i + 1 < n; ++i)
+                for (int k = 0; k < 3; ++k) {
+                    std::size_t j = i + 1 + rng() % (n - i - 1);
+                    successors[label[i]].push_back(label[j]);
+                    if (rng() % 4 == 0) successors[label[i]].push_back(label[j]);
+                }
+            for (bool cyclic : {false, true}) {
+                if (cyclic)
+                    for (int k = 0; k < 2; ++k) {
+                        std::size_t i = rng() % n;
+                        std::size_t j = rng() % (i + 1);
+                        successors[label[i]].push_back(label[j]);
+                    }
+                const TopoSort sorted = topological_sort(successors);
+                const reference::KahnResult expected = reference::kahn(successors);
+                EXPECT_EQ(sorted.order, expected.order)
+                    << "n=" << n << " seed=" << seed << " cyclic=" << cyclic;
+                EXPECT_EQ(sorted.stuck, expected.stuck)
+                    << "n=" << n << " seed=" << seed << " cyclic=" << cyclic;
+                if (!cyclic) EXPECT_TRUE(sorted.stuck.empty());
+                EXPECT_EQ(sorted.order.size() + sorted.stuck.size(), n);
+            }
         }
     }
 }
