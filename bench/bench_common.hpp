@@ -14,6 +14,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -98,6 +100,26 @@ inline void row(const std::string& label, double value) {
 inline void row(const std::string& label, std::size_t value) {
     std::printf("%-38s %zu\n", label.c_str(), value);
     Report::instance().add(label, static_cast<double>(value));
+}
+
+/// Calls each of `fns` `repeats` times, round-robin so drifting machine
+/// load hits every one alike; each call returns one run's wall time in
+/// ms. Returns each fn's median time, in argument order.
+template <typename... Fns>
+std::array<double, sizeof...(Fns)> median_ms(std::size_t repeats, Fns&&... fns) {
+    std::array<std::vector<double>, sizeof...(Fns)> samples;
+    for (std::size_t r = 0; r < repeats; ++r) {
+        std::size_t i = 0;
+        (samples[i++].push_back(fns()), ...);
+    }
+    std::array<double, sizeof...(Fns)> medians{};
+    for (std::size_t i = 0; i < medians.size(); ++i) {
+        std::vector<double>& s = samples[i];
+        std::sort(s.begin(), s.end());
+        const std::size_t n = s.size();
+        medians[i] = n % 2 ? s[n / 2] : (s[n / 2 - 1] + s[n / 2]) / 2.0;
+    }
+    return medians;
 }
 
 /// Worker count for the parallel reproduction sections: `UHCG_JOBS` env

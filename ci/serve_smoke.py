@@ -6,9 +6,10 @@ Drives one daemon through the robustness contract:
     generate with transactional output, status) — every request answered
     exactly once with the id echoed;
   * malformed traffic from separate connections (truncated frame,
-    oversized declared length, invalid JSON, unknown method, mid-request
-    disconnect) — each yields a structured serve.* error or a dropped
-    connection, and the daemon keeps serving afterwards;
+    oversized declared length, invalid JSON, unknown method, a model
+    nested 30,000 deep, mid-request disconnect) — each yields a structured
+    serve.* error or a dropped connection, and the daemon keeps serving
+    afterwards;
   * a warm-cache proof: the second simulate of the same model must be a
     cache hit and report nonzero serve.cache_hits in status.
 
@@ -227,6 +228,16 @@ def main():
     # Zero-length frame: empty payload is a parse error, not a crash.
     send_frame(s, b"")
     expect_error(recv_frame(s), "serve.parse")
+    s.close()
+
+    # Deep nesting: a 30,000-deep model is one request's xml.depth error,
+    # never a parser stack overflow that takes the daemon down.
+    s = connect(path)
+    deep = "<a>" * 30000 + "</a>" * 30000
+    bad = rpc(s, {"method": "simulate", "id": 13, "model_xmi": deep})
+    expect_error(bad, "serve.model-invalid")
+    assert any(d["code"] == "xml.depth" for d in bad.get("diagnostics", [])), bad
+    assert rpc(s, {"method": "ping", "id": 14})["ok"]
     s.close()
 
     # Mid-request disconnect, then prove the daemon still serves.

@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "core/comm.hpp"
 #include "diag/diag.hpp"
 #include "uml/model.hpp"
 
@@ -32,6 +33,11 @@ CppProgram generate_cpp_threads(const uml::Model& model,
 /// through `engine` under diag::codes::kCodegenThreads. Output is
 /// byte-identical to the overload above.
 CppProgram generate_cpp_threads(const uml::Model& model, std::size_t iterations,
+                                diag::DiagnosticEngine& engine);
+
+/// Same generator over an existing analysis of `model`.
+CppProgram generate_cpp_threads(const uml::Model& model, const core::CommModel& comm,
+                                std::size_t iterations,
                                 diag::DiagnosticEngine& engine);
 
 }  // namespace uhcg::codegen

@@ -1,61 +1,24 @@
 #include "core/comm.hpp"
 
+#include <set>
+#include <tuple>
+
 #include "obs/obs.hpp"
 
 namespace uhcg::core {
 
-std::vector<const Channel*> CommModel::incoming(
+const CommModel::ThreadIndex& CommModel::of(
     const uml::ObjectInstance& thread) const {
-    std::vector<const Channel*> out;
-    for (const Channel& c : channels_)
-        if (c.consumer == &thread) out.push_back(&c);
-    return out;
-}
-
-std::vector<const Channel*> CommModel::outgoing(
-    const uml::ObjectInstance& thread) const {
-    std::vector<const Channel*> out;
-    for (const Channel& c : channels_)
-        if (c.producer == &thread) out.push_back(&c);
-    return out;
+    static const ThreadIndex kNone;
+    auto it = index_.find(&thread);
+    return it == index_.end() ? kNone : it->second;
 }
 
 bool CommModel::receives(const uml::ObjectInstance& thread,
                          std::string_view v) const {
-    for (const Channel& c : channels_)
-        if (c.consumer == &thread && c.variable == v) return true;
+    for (const Channel* c : incoming(thread))
+        if (c->variable == v) return true;
     return false;
-}
-
-bool CommModel::must_produce(const uml::ObjectInstance& thread,
-                             std::string_view v) const {
-    for (const Channel& c : channels_)
-        if (c.producer == &thread && c.variable == v) return true;
-    return false;
-}
-
-std::vector<const IoAccess*> CommModel::io_inputs(
-    const uml::ObjectInstance& thread) const {
-    std::vector<const IoAccess*> out;
-    for (const IoAccess& a : io_)
-        if (a.thread == &thread && a.is_input) out.push_back(&a);
-    return out;
-}
-
-std::vector<const IoAccess*> CommModel::io_outputs(
-    const uml::ObjectInstance& thread) const {
-    std::vector<const IoAccess*> out;
-    for (const IoAccess& a : io_)
-        if (a.thread == &thread && !a.is_input) out.push_back(&a);
-    return out;
-}
-
-double CommModel::traffic(const uml::ObjectInstance& from,
-                          const uml::ObjectInstance& to) const {
-    double sum = 0.0;
-    for (const Channel& c : channels_)
-        if (c.producer == &from && c.consumer == &to) sum += c.data_size;
-    return sum;
 }
 
 CommModel analyze_communication(const uml::Model& model) {
@@ -70,22 +33,35 @@ CommModel analyze_communication(const uml::Model& model) {
             if (sender->is_thread() && receiver->is_thread() && sender != receiver) {
                 if (op.rfind("Set", 0) == 0 && !m->arguments().empty()) {
                     for (const uml::MessageArgument& a : m->arguments())
-                        out.add_channel(
+                        out.channels_.push_back(
                             {sender, receiver, a.name, m->data_size()});
                 } else if (op.rfind("Get", 0) == 0 && !m->result_name().empty()) {
                     // Caller receives: data flows receiver → sender.
-                    out.add_channel(
+                    out.channels_.push_back(
                         {receiver, sender, m->result_name(), m->data_size()});
                 }
             } else if (receiver->is_io_device() && sender->is_thread()) {
                 if (op.rfind("get", 0) == 0 && !m->result_name().empty()) {
-                    out.add_io({sender, receiver, m->result_name(), true});
+                    out.io_.push_back({sender, receiver, m->result_name(), true});
                 } else if (op.rfind("set", 0) == 0 && !m->arguments().empty()) {
                     for (const uml::MessageArgument& a : m->arguments())
-                        out.add_io({sender, receiver, a.name, false});
+                        out.io_.push_back({sender, receiver, a.name, false});
                 }
             }
         }
+    }
+    // Index once the tables are final: the views point into them.
+    std::set<std::tuple<std::string_view, std::string_view, std::string_view>>
+        seen;
+    for (const Channel& c : out.channels_) {
+        if (seen.emplace(c.producer->name(), c.consumer->name(), c.variable).second)
+            out.links_.push_back(&c);
+        out.index_[c.producer].outgoing.push_back(&c);
+        out.index_[c.consumer].incoming.push_back(&c);
+    }
+    for (const IoAccess& a : out.io_) {
+        CommModel::ThreadIndex& t = out.index_[a.thread];
+        (a.is_input ? t.io_inputs : t.io_outputs).push_back(&a);
     }
     return out;
 }

@@ -10,12 +10,18 @@
 //    invoking thread;
 //  * `set*` on an <<IO>> object carrying argument v: environment output.
 //
-// The analysis produces the channel/IO tables every later stage consumes:
-// channel inference (§4.2.1), the task graph for thread allocation
-// (§4.2.3), and the Thread-SS port synthesis of the mapping itself.
+// The analysis builds the one communication graph every later stage
+// reads: channel inference (§4.2.1), the task graph for thread allocation
+// (§4.2.3), the mapping's Thread-SS ports and the threads/KPN fallbacks.
+// `flow::generate` builds it once and shares that instance. The per-thread
+// views index the channel and IO tables and list entries in table
+// (emission) order, exactly as a filtered scan of the table would.
 #pragma once
 
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "uml/model.hpp"
@@ -38,33 +44,53 @@ struct IoAccess {
     bool is_input = false;  ///< true for get* (environment → thread)
 };
 
-/// Result of the analysis.
+/// Result of the analysis. Movable but not copyable: the per-thread views
+/// point into the tables.
 class CommModel {
 public:
+    CommModel() = default;
+    CommModel(CommModel&&) = default;
+    CommModel& operator=(CommModel&&) = default;
+    CommModel(const CommModel&) = delete;
+    CommModel& operator=(const CommModel&) = delete;
+
     const std::vector<Channel>& channels() const { return channels_; }
     const std::vector<IoAccess>& io_accesses() const { return io_; }
+    /// One channel per data link: the first of each (producer name,
+    /// consumer name, variable), in table order — a Set on one side and a
+    /// Get on the other name the same link.
+    std::span<const Channel* const> links() const { return links_; }
 
     /// Channels consumed / produced by one thread.
-    std::vector<const Channel*> incoming(const uml::ObjectInstance& thread) const;
-    std::vector<const Channel*> outgoing(const uml::ObjectInstance& thread) const;
+    std::span<const Channel* const> incoming(const uml::ObjectInstance& t) const {
+        return of(t).incoming;
+    }
+    std::span<const Channel* const> outgoing(const uml::ObjectInstance& t) const {
+        return of(t).outgoing;
+    }
     /// True when `thread` receives variable `v` over some channel.
     bool receives(const uml::ObjectInstance& thread, std::string_view v) const;
-    /// True when some channel requires `thread` to produce `v`.
-    bool must_produce(const uml::ObjectInstance& thread, std::string_view v) const;
-    /// IO inputs (get*) of one thread.
-    std::vector<const IoAccess*> io_inputs(const uml::ObjectInstance& thread) const;
-    std::vector<const IoAccess*> io_outputs(const uml::ObjectInstance& thread) const;
-
-    /// Sum of data sizes between an ordered thread pair.
-    double traffic(const uml::ObjectInstance& from,
-                   const uml::ObjectInstance& to) const;
-
-    void add_channel(Channel c) { channels_.push_back(std::move(c)); }
-    void add_io(IoAccess a) { io_.push_back(std::move(a)); }
+    /// IO inputs (get*) / outputs (set*) of one thread.
+    std::span<const IoAccess* const> io_inputs(const uml::ObjectInstance& t) const {
+        return of(t).io_inputs;
+    }
+    std::span<const IoAccess* const> io_outputs(const uml::ObjectInstance& t) const {
+        return of(t).io_outputs;
+    }
 
 private:
+    struct ThreadIndex {
+        std::vector<const Channel*> incoming, outgoing;
+        std::vector<const IoAccess*> io_inputs, io_outputs;
+    };
+    const ThreadIndex& of(const uml::ObjectInstance& thread) const;
+
+    friend CommModel analyze_communication(const uml::Model& model);
+
     std::vector<Channel> channels_;
     std::vector<IoAccess> io_;
+    std::vector<const Channel*> links_;
+    std::unordered_map<const uml::ObjectInstance*, ThreadIndex> index_;
 };
 
 /// Runs the analysis. Messages violating the conventions are skipped here;

@@ -43,12 +43,15 @@ void register_caam_passes(PassManager& pm, const core::MapperOptions& options,
            .reads<SourceModel>()
            .writes<WellformedReport>());
 
-    // Analyses feeding the mapping.
+    // Analyses feeding the mapping. flow::generate seeds the store with
+    // its one analysis; a standalone pipeline analyzes here.
     pm.add(Pass("core.comm",
                 [](PassContext& ctx) {
-                    const uml::Model& model = *ctx.in<SourceModel>().model;
-                    core::CommModel& comm =
-                        ctx.out(core::analyze_communication(model));
+                    const core::CommModel& comm =
+                        ctx.store().has<core::CommModel>()
+                            ? ctx.in<core::CommModel>()
+                            : ctx.out(core::analyze_communication(
+                                  *ctx.in<SourceModel>().model));
                     ctx.count("channels", comm.channels().size());
                     ctx.count("io-accesses", comm.io_accesses().size());
                 })

@@ -115,7 +115,7 @@ void CheckpointStore::save(const std::string& key,
         put_field(out, "name", file.name);
         put_field(out, "data", file.contents);
     }
-    write_file_atomic(path_for(key), out.str());
+    write_file_atomic(path_for(key), out.view());
 }
 
 void CheckpointStore::drop(const std::string& key) const {

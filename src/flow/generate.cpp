@@ -101,7 +101,9 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
     pm.add(Pass("flow.partition",
                 [](PassContext& ctx) {
                     const uml::Model& m = *ctx.in<SourceModel>().model;
-                    core::CommModel comm = core::analyze_communication(m);
+                    // The one analysis of this generate; every unit reads it.
+                    const core::CommModel& comm =
+                        ctx.out(core::analyze_communication(m));
                     PartitionReport& report = ctx.out(partition(m, comm));
                     // Mine the task graph here too: its shape lands in the
                     // trace for every run, including deployment-diagram
@@ -118,6 +120,7 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
                             ctx.count("dataflow");
                 })
            .reads<SourceModel>()
+           .writes<core::CommModel>()
            .writes<PartitionReport>());
     auto run = pm.run(store, engine, trace, "partition");
     if (!run.ok || !store.has<PartitionReport>()) {
@@ -126,6 +129,7 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
         return result;
     }
     result.partitions = std::move(store.require<PartitionReport>());
+    const core::CommModel& comm = store.require<core::CommModel>();
 
     // Checkpointing needs the model's serialized bytes for a content key.
     const ResilienceOptions& res = options.resilience;
@@ -265,6 +269,7 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
         context.pass_budget = res.pass_budget;
         context.kpn_firings = res.kpn_firings;
         context.sim_steps = res.sim_steps;
+        context.comm = &comm;
         return context;
     };
 

@@ -52,10 +52,6 @@ std::size_t count_feedback_cycles(
 
 }  // namespace
 
-PartitionReport partition(const uml::Model& model) {
-    return partition(model, core::analyze_communication(model));
-}
-
 PartitionReport partition(const uml::Model& model, const core::CommModel& comm) {
     PartitionReport report;
 

@@ -55,8 +55,7 @@ struct PartitionReport {
     std::vector<std::string> notes;
 };
 
-/// Partitions `model`; the overload recomputes the communication analysis.
-PartitionReport partition(const uml::Model& model);
+/// Partitions `model`, whose communication analysis is `comm`.
 PartitionReport partition(const uml::Model& model, const core::CommModel& comm);
 
 }  // namespace uhcg::flow

@@ -67,29 +67,32 @@ ArtifactKey artifact_key() {
 }
 
 /// Type-keyed artifact container. At most one artifact per type; re-putting
-/// replaces the previous value. Values are owned by the store.
+/// replaces the previous value. Values are owned by the store unless borrowed.
 class ArtifactStore {
 public:
     template <typename T>
     T& put(T value) {
-        ArtifactKey key = artifact_key<T>();
-        auto holder = std::make_shared<T>(std::move(value));
-        T* raw = holder.get();
-        auto it = entries_.find(key.type);
-        if (it == entries_.end()) {
-            entries_.emplace(key.type, Entry{std::move(holder), key.name});
-            order_.push_back(key.type);
-        } else {
-            it->second = Entry{std::move(holder), key.name};
-        }
-        return *raw;
+        return insert(std::make_shared<T>(std::move(value)), false);
+    }
+
+    /// Publishes a caller-owned artifact without copying it. The caller
+    /// keeps `value` alive as long as the store. The entry is read-only:
+    /// mutable access (get, require, PassContext::inout) throws FlowError.
+    template <typename T>
+    const T& borrow(const T& value) {
+        return insert(std::shared_ptr<T>(std::shared_ptr<T>(),
+                                         const_cast<T*>(&value)),
+                      true);
     }
 
     template <typename T>
     T* get() {
         auto it = entries_.find(std::type_index(typeid(T)));
-        return it == entries_.end() ? nullptr
-                                    : static_cast<T*>(it->second.value.get());
+        if (it == entries_.end()) return nullptr;
+        if (it->second.borrowed)
+            throw FlowError("artifact '" + it->second.name +
+                            "' is borrowed read-only");
+        return static_cast<T*>(it->second.value.get());
     }
     template <typename T>
     const T* get() const {
@@ -121,9 +124,20 @@ public:
     std::vector<std::string> names() const;
 
 private:
+    template <typename T>
+    T& insert(std::shared_ptr<T> holder, bool borrowed) {
+        ArtifactKey key = artifact_key<T>();
+        T* raw = holder.get();
+        auto [it, fresh] = entries_.insert_or_assign(
+            key.type, Entry{std::move(holder), key.name, borrowed});
+        if (fresh) order_.push_back(key.type);
+        return *raw;
+    }
+
     struct Entry {
         std::shared_ptr<void> value;
         std::string name;
+        bool borrowed = false;
     };
     std::unordered_map<std::type_index, Entry> entries_;
     std::vector<std::type_index> order_;

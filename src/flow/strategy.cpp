@@ -82,6 +82,12 @@ void apply_resilience(PassManager& pm, const StrategyContext& context) {
     pm.set_pass_budget(context.pass_budget);
 }
 
+/// Seeds a strategy's store with the model and the dispatcher's analysis.
+void seed_store(ArtifactStore& store, const StrategyContext& context) {
+    store.put(SourceModel{context.model});
+    store.borrow(*context.comm);
+}
+
 /// Schedulability probe over the emitted CAAM — the cmd_map check as a
 /// pass. A combinational cycle becomes a structured sim.deadlock error and
 /// fails the strategy; any other build failure (unregistered S-functions
@@ -180,25 +186,16 @@ void register_estimate_pass(PassManager& pm) {
            .runs_after("caam.validate"));
 }
 
-/// Shared prelude of every caam-family emitter: resolve the dispatcher's
-/// SharedCaam, or compute a private one for standalone strategy calls.
-/// Returns nullptr (with `result.ok = false`) when the mapping failed —
-/// the emitter then returns its result untouched and the dispatcher
-/// quarantines it with the prep's diagnostics.
-const SharedCaam* resolve_shared_caam(const StrategyContext& context,
-                                      diag::DiagnosticEngine& engine,
-                                      FlowTrace* trace, SharedCaam& local,
-                                      StrategyResult& result) {
-    const SharedCaam* shared = context.shared_caam;
-    if (shared == nullptr) {
-        local = compute_shared_caam(context, engine, trace);
-        shared = &local;
-    }
-    if (!shared->ok) {
-        result.ok = false;
-        return nullptr;
-    }
-    return shared;
+/// Shared prelude of every caam-family emitter: the dispatcher's
+/// SharedCaam, or nullptr (with `result.ok = false`) when the mapping
+/// failed — the emitter then returns its result untouched and the
+/// dispatcher quarantines it with the prep's diagnostics.
+const SharedCaam* usable_shared_caam(const StrategyContext& context,
+                                     StrategyResult& result) {
+    if (context.shared_caam && context.shared_caam->ok)
+        return context.shared_caam;
+    result.ok = false;
+    return nullptr;
 }
 
 /// Dataflow branch: steps 2–4 ending in .mdl text. The mapping (steps
@@ -219,15 +216,11 @@ public:
         result.strategy = std::string(name());
         result.subsystem = context.subsystem->name;
 
-        SharedCaam local;
-        const SharedCaam* shared =
-            resolve_shared_caam(context, engine, trace, local, result);
+        const SharedCaam* shared = usable_shared_caam(context, result);
         // The legacy report travels with the mdl result whether or not the
         // mapping succeeded — cmd_generate --report prints it either way.
         if (context.shared_caam)
             result.mapper_report = context.shared_caam->mapper_report;
-        else
-            result.mapper_report = local.mapper_report;
         if (!shared) return result;
 
         ArtifactStore store;
@@ -270,9 +263,7 @@ public:
         result.strategy = std::string(name());
         result.subsystem = context.subsystem->name;
 
-        SharedCaam local;
-        const SharedCaam* shared =
-            resolve_shared_caam(context, engine, trace, local, result);
+        const SharedCaam* shared = usable_shared_caam(context, result);
         if (!shared) return result;
 
         ArtifactStore store;
@@ -322,9 +313,7 @@ public:
         result.strategy = std::string(name());
         result.subsystem = context.subsystem->name;
 
-        SharedCaam local;
-        const SharedCaam* shared =
-            resolve_shared_caam(context, engine, trace, local, result);
+        const SharedCaam* shared = usable_shared_caam(context, result);
         if (!shared) return result;
 
         ArtifactStore store;
@@ -429,7 +418,7 @@ public:
         result.subsystem = context.subsystem->name;
 
         ArtifactStore store;
-        store.put(SourceModel{context.model});
+        seed_store(store, context);
         PassManager pm("cpp-threads");
         apply_resilience(pm, context);
 
@@ -439,12 +428,14 @@ public:
                         const uml::Model& model = *ctx.in<SourceModel>().model;
                         codegen::CppProgram& program =
                             ctx.out(codegen::generate_cpp_threads(
-                                model, iterations, ctx.diags()));
+                                model, ctx.in<core::CommModel>(), iterations,
+                                ctx.diags()));
                         ctx.count("threads", program.thread_count);
                         ctx.count("queues", program.queue_count);
                         ctx.count("bytes", program.source.size());
                     })
                .reads<SourceModel>()
+               .reads<core::CommModel>()
                .writes<codegen::CppProgram>());
 
         auto run = pm.run(store, engine, trace,
@@ -473,15 +464,15 @@ public:
         result.subsystem = context.subsystem->name;
 
         ArtifactStore store;
-        store.put(SourceModel{context.model});
+        seed_store(store, context);
         PassManager pm("kpn");
         apply_resilience(pm, context);
 
         pm.add(Pass("kpn.map",
                     [](PassContext& ctx) {
                         const uml::Model& model = *ctx.in<SourceModel>().model;
-                        kpn::KpnMappingOutput& out =
-                            ctx.out(kpn::map_to_kpn(model));
+                        kpn::KpnMappingOutput& out = ctx.out(kpn::map_to_kpn(
+                            model, ctx.in<core::CommModel>()));
                         ctx.count("processes", out.network.processes().size());
                         ctx.count("channels", out.network.channels().size());
                         ctx.count("initial-tokens", out.initial_tokens_inserted);
@@ -490,6 +481,7 @@ public:
                                                 "kpn: " + w);
                     })
                .reads<SourceModel>()
+               .reads<core::CommModel>()
                .writes<kpn::KpnMappingOutput>());
 
         // Watchdogged dry-run of the mapped network — the cmd_kpn check as
@@ -561,7 +553,7 @@ SharedCaam compute_shared_caam(const StrategyContext& context,
     SharedCaam shared;
     const std::size_t first_diag = engine.size();
     ArtifactStore store;
-    store.put(SourceModel{context.model});
+    seed_store(store, context);
     PassManager pm("simulink-caam");
     apply_resilience(pm, context);
     register_caam_passes(pm, context.mapper, CaamPipelineMode::Engine);

@@ -61,9 +61,12 @@ struct StrategyContext {
     /// (sim.schedulability); 0 keeps the probe build-only.
     std::size_t sim_steps = 0;
     /// Shared mapping for the caam-family emitters, owned by the
-    /// dispatcher. Null for non-caam strategies and for standalone
-    /// strategy calls — a caam emitter then computes a private mapping.
+    /// dispatcher. Null for non-caam strategies; a caam emitter given none
+    /// fails.
     const SharedCaam* shared_caam = nullptr;
+    /// The dispatcher's one communication analysis of `model`, read by
+    /// the shared prep, cpp-threads and kpn. Required, like `model`.
+    const core::CommModel* comm = nullptr;
 };
 
 /// Runs the steps 2–3 mapping pipeline (plus schedulability probe and

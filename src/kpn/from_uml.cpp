@@ -7,31 +7,9 @@
 #include "uml/generic.hpp"
 
 namespace uhcg::kpn {
-namespace {
 
 using model::Object;
 using model::ObjectModel;
-
-/// One deduplicated data link (Set and Get sides merged).
-struct Link {
-    const uml::ObjectInstance* producer;
-    const uml::ObjectInstance* consumer;
-    std::string variable;
-};
-
-std::vector<Link> dedup_links(const core::CommModel& comm) {
-    std::vector<Link> out;
-    std::set<std::string> seen;
-    for (const core::Channel& c : comm.channels()) {
-        std::string key =
-            c.producer->name() + ">" + c.consumer->name() + ":" + c.variable;
-        if (seen.insert(key).second)
-            out.push_back({c.producer, c.consumer, c.variable});
-    }
-    return out;
-}
-
-}  // namespace
 
 KpnMappingOutput map_to_kpn(const uml::Model& model,
                             const KpnMappingOptions& options) {
@@ -41,12 +19,10 @@ KpnMappingOutput map_to_kpn(const uml::Model& model,
 KpnMappingOutput map_to_kpn(const uml::Model& model, const core::CommModel& comm,
                             const KpnMappingOptions& options) {
     ObjectModel source = uml::to_generic(model);
-    const std::vector<Link> links = dedup_links(comm);
 
     struct State {
         const uml::Model* um;
         const core::CommModel* comm;
-        const std::vector<Link>* links;
         Object* network = nullptr;
         std::map<const uml::ObjectInstance*, Object*> processes;
         std::size_t counter = 0;
@@ -54,7 +30,6 @@ KpnMappingOutput map_to_kpn(const uml::Model& model, const core::CommModel& comm
     auto st = std::make_shared<State>();
     st->um = &model;
     st->comm = &comm;
-    st->links = &links;
 
     transform::Engine engine(kpn_metamodel());
 
@@ -95,9 +70,9 @@ KpnMappingOutput map_to_kpn(const uml::Model& model, const core::CommModel& comm
                  port.set("var", var);
                  p.add_ref("ports", port);
              };
-             for (const Link& l : *st->links) {
-                 if (l.consumer == typed) add_port(l.variable, true);
-                 if (l.producer == typed) add_port(l.variable, false);
+             for (const core::Channel* l : st->comm->links()) {
+                 if (l->consumer == typed) add_port(l->variable, true);
+                 if (l->producer == typed) add_port(l->variable, false);
              }
              for (const core::IoAccess* a : st->comm->io_inputs(*typed))
                  add_port(a->variable, true);
@@ -119,14 +94,14 @@ KpnMappingOutput map_to_kpn(const uml::Model& model, const core::CommModel& comm
                  return -1;
              };
              std::size_t index = 0;
-             for (const Link& l : *st->links) {
-                 Object& producer = *st->processes.at(l.producer);
-                 Object& consumer = *st->processes.at(l.consumer);
+             for (const core::Channel* l : st->comm->links()) {
+                 Object& producer = *st->processes.at(l->producer);
+                 Object& consumer = *st->processes.at(l->consumer);
                  Object& c = ctx.create(src, "Links2Channels", "Channel",
                                         "chan." + std::to_string(index++));
-                 c.set("variable", l.variable);
-                 c.set("producerPort", port_index(producer, l.variable, false));
-                 c.set("consumerPort", port_index(consumer, l.variable, true));
+                 c.set("variable", l->variable);
+                 c.set("producerPort", port_index(producer, l->variable, false));
+                 c.set("consumerPort", port_index(consumer, l->variable, true));
                  c.set_ref("producer", &producer);
                  c.set_ref("consumer", &consumer);
                  st->network->add_ref("channels", c);

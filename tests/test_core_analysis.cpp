@@ -2,6 +2,10 @@
 // task-graph mining and thread allocation (§4.2.3).
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+
+#include "campaign/corpus.hpp"
 #include "cases/cases.hpp"
 #include "core/allocation.hpp"
 #include "core/comm.hpp"
@@ -26,14 +30,24 @@ uml::Model two_thread_model() {
     return b.take();
 }
 
+/// True when some channel requires `thread` to produce `v`.
+bool produces(const CommModel& comm, const uml::ObjectInstance& thread,
+              std::string_view v) {
+    for (const Channel* c : comm.outgoing(thread))
+        if (c->variable == v) return true;
+    return false;
+}
+
 TEST(CommAnalysis, SetCreatesForwardChannel) {
     uml::Model m = two_thread_model();
     CommModel comm = analyze_communication(m);
     const uml::ObjectInstance* p = m.find_object("P");
     const uml::ObjectInstance* c = m.find_object("C");
     // SetRaw: P → C carrying "raw".
-    EXPECT_TRUE(comm.must_produce(*p, "raw"));
+    EXPECT_TRUE(produces(comm, *p, "raw"));
+    EXPECT_FALSE(produces(comm, *c, "raw"));
     EXPECT_TRUE(comm.receives(*c, "raw"));
+    EXPECT_FALSE(comm.receives(*p, "raw"));
     // Per-channel size is preserved on the channel record itself.
     for (const Channel& ch : comm.channels()) {
         if (ch.variable == "raw") {
@@ -48,10 +62,12 @@ TEST(CommAnalysis, GetReversesDirection) {
     const uml::ObjectInstance* p = m.find_object("P");
     const uml::ObjectInstance* c = m.find_object("C");
     // GetStatus invoked by C on P: data flows P → C.
-    EXPECT_TRUE(comm.must_produce(*p, "status"));
+    EXPECT_TRUE(produces(comm, *p, "status"));
     EXPECT_TRUE(comm.receives(*c, "status"));
-    EXPECT_DOUBLE_EQ(comm.traffic(*p, *c), 20.0);  // 16 + 4
-    EXPECT_DOUBLE_EQ(comm.traffic(*c, *p), 0.0);
+    // Per-pair traffic is the task graph's merged edge cost.
+    taskgraph::TaskGraph g = build_task_graph(m, comm);
+    EXPECT_DOUBLE_EQ(g.edge_cost(*g.find("P"), *g.find("C")), 20.0);  // 16 + 4
+    EXPECT_DOUBLE_EQ(g.edge_cost(*g.find("C"), *g.find("P")), 0.0);
 }
 
 TEST(CommAnalysis, IoAccessesClassified) {
@@ -96,6 +112,119 @@ TEST(CommAnalysis, CraneChannels) {
     CommModel comm = analyze_communication(crane);
     EXPECT_EQ(comm.channels().size(), 4u);  // xc, alpha, pos_f, F
     EXPECT_EQ(comm.io_accesses().size(), 1u);  // display write
+}
+
+// The per-thread views against the linear scans they replaced: same
+// entries, same (emission) order, on every object of seeded models.
+namespace reference {
+
+std::vector<const Channel*> incoming(const CommModel& comm,
+                                     const uml::ObjectInstance& thread) {
+    std::vector<const Channel*> out;
+    for (const Channel& c : comm.channels())
+        if (c.consumer == &thread) out.push_back(&c);
+    return out;
+}
+
+std::vector<const Channel*> outgoing(const CommModel& comm,
+                                     const uml::ObjectInstance& thread) {
+    std::vector<const Channel*> out;
+    for (const Channel& c : comm.channels())
+        if (c.producer == &thread) out.push_back(&c);
+    return out;
+}
+
+bool receives(const CommModel& comm, const uml::ObjectInstance& thread,
+              std::string_view v) {
+    for (const Channel& c : comm.channels())
+        if (c.consumer == &thread && c.variable == v) return true;
+    return false;
+}
+
+std::vector<const IoAccess*> io_accesses(const CommModel& comm,
+                                         const uml::ObjectInstance& thread,
+                                         bool is_input) {
+    std::vector<const IoAccess*> out;
+    for (const IoAccess& a : comm.io_accesses())
+        if (a.thread == &thread && a.is_input == is_input) out.push_back(&a);
+    return out;
+}
+
+std::vector<const Channel*> links(const CommModel& comm) {
+    std::vector<const Channel*> out;
+    std::set<std::tuple<std::string, std::string, std::string>> seen;
+    for (const Channel& c : comm.channels())
+        if (seen.insert({c.producer->name(), c.consumer->name(), c.variable})
+                .second)
+            out.push_back(&c);
+    return out;
+}
+
+double traffic(const CommModel& comm, const uml::ObjectInstance& from,
+               const uml::ObjectInstance& to) {
+    double sum = 0.0;
+    for (const Channel& c : comm.channels())
+        if (c.producer == &from && c.consumer == &to) sum += c.data_size;
+    return sum;
+}
+
+}  // namespace reference
+
+template <typename T>
+std::vector<const T*> to_vector(std::span<const T* const> view) {
+    return {view.begin(), view.end()};
+}
+
+void expect_queries_match_scans(const uml::Model& model) {
+    SCOPED_TRACE(model.name());
+    CommModel comm = analyze_communication(model);
+    ASSERT_FALSE(comm.channels().empty());
+    EXPECT_EQ(to_vector(comm.links()), reference::links(comm));
+    std::set<std::string> variables = {"no-such-variable"};
+    for (const Channel& c : comm.channels()) variables.insert(c.variable);
+    for (const IoAccess& a : comm.io_accesses()) variables.insert(a.variable);
+    for (const uml::ObjectInstance* o : model.objects()) {
+        SCOPED_TRACE(o->name());
+        EXPECT_EQ(to_vector(comm.incoming(*o)), reference::incoming(comm, *o));
+        EXPECT_EQ(to_vector(comm.outgoing(*o)), reference::outgoing(comm, *o));
+        EXPECT_EQ(to_vector(comm.io_inputs(*o)),
+                  reference::io_accesses(comm, *o, true));
+        EXPECT_EQ(to_vector(comm.io_outputs(*o)),
+                  reference::io_accesses(comm, *o, false));
+        for (const std::string& v : variables)
+            EXPECT_EQ(comm.receives(*o, v), reference::receives(comm, *o, v))
+                << v;
+    }
+    // Per-pair traffic lives in the task graph: one merged edge per
+    // producer/consumer pair, costing the pair's summed data sizes.
+    taskgraph::TaskGraph g = build_task_graph(model, comm);
+    std::set<std::pair<const uml::ObjectInstance*, const uml::ObjectInstance*>>
+        pairs;
+    for (const Channel& c : comm.channels()) {
+        if (!pairs.insert({c.producer, c.consumer}).second) continue;
+        EXPECT_DOUBLE_EQ(g.edge_cost(*g.find(c.producer->name()),
+                                     *g.find(c.consumer->name())),
+                         reference::traffic(comm, *c.producer, *c.consumer));
+    }
+    EXPECT_EQ(g.edge_count(), pairs.size());
+}
+
+TEST(CommModel, QueriesMatchLinearScans) {
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u})
+        expect_queries_match_scans(cases::random_application(seed, 40, 6));
+    for (std::size_t feedback : {std::size_t{0}, std::size_t{1}}) {
+        campaign::CorpusOptions options;
+        options.models = 2;
+        options.seed = 7;
+        options.min_threads = 30;
+        options.max_threads = 30;
+        options.feedback_cycles = feedback;
+        for (std::size_t i = 0; i < options.models; ++i)
+            expect_queries_match_scans(campaign::synth_model(options, i));
+    }
+    expect_queries_match_scans(cases::crane_model());
+    expect_queries_match_scans(cases::mixed_model());
+    expect_queries_match_scans(two_thread_model());
 }
 
 // --- task graph mining ----------------------------------------------------------

@@ -80,6 +80,24 @@ TEST(ArtifactStore, RequireMissingThrowsFlowError) {
     }
 }
 
+TEST(ArtifactStore, BorrowedArtifactIsReadOnly) {
+    const Alpha owned{7};
+    flow::ArtifactStore store;
+    EXPECT_EQ(&store.borrow(owned), &owned);
+    const flow::ArtifactStore& view = store;
+    EXPECT_EQ(&view.require<Alpha>(), &owned);
+    EXPECT_THROW(store.require<Alpha>(), flow::FlowError);
+    EXPECT_THROW(store.get<Alpha>(), flow::FlowError);
+    diag::DiagnosticEngine engine;
+    flow::PassContext ctx(store, engine);
+    EXPECT_EQ(ctx.in<Alpha>().value, 7);
+    EXPECT_THROW(ctx.inout<Alpha>(), flow::FlowError);
+    // Re-putting replaces the borrow with an owned, mutable value.
+    store.put(Alpha{8});
+    EXPECT_EQ(store.require<Alpha>().value, 8);
+    EXPECT_EQ(owned.value, 7);
+}
+
 TEST(ArtifactStore, NamesUseArtifactTraits) {
     flow::ArtifactStore store;
     store.put(Alpha{1});
@@ -198,7 +216,8 @@ TEST(PassManager, CountersAndTimingsLandInTrace) {
 
 TEST(Partitioner, CraneClosedLoopIsControlFlow) {
     uml::Model model = cases::crane_model();
-    flow::PartitionReport report = flow::partition(model);
+    flow::PartitionReport report =
+        flow::partition(model, core::analyze_communication(model));
     ASSERT_EQ(report.subsystems.size(), 1u);
     EXPECT_EQ(report.subsystems[0].name, "threads");
     EXPECT_EQ(report.subsystems[0].kind, flow::SubsystemKind::ControlFlow);
@@ -208,7 +227,8 @@ TEST(Partitioner, CraneClosedLoopIsControlFlow) {
 
 TEST(Partitioner, DidacticPipelineIsDataflow) {
     uml::Model model = cases::didactic_model();
-    flow::PartitionReport report = flow::partition(model);
+    flow::PartitionReport report =
+        flow::partition(model, core::analyze_communication(model));
     ASSERT_EQ(report.subsystems.size(), 1u);
     EXPECT_EQ(report.subsystems[0].kind, flow::SubsystemKind::Dataflow);
     EXPECT_EQ(report.feedback_cycles, 0u);
@@ -217,7 +237,8 @@ TEST(Partitioner, DidacticPipelineIsDataflow) {
 
 TEST(Partitioner, MixedModelSplitsControlAndThreads) {
     uml::Model model = cases::mixed_model();
-    flow::PartitionReport report = flow::partition(model);
+    flow::PartitionReport report =
+        flow::partition(model, core::analyze_communication(model));
     ASSERT_EQ(report.subsystems.size(), 2u);
     EXPECT_EQ(report.subsystems[0].name, "control:Elevator");
     EXPECT_NE(report.subsystems[0].machine, nullptr);
@@ -228,8 +249,9 @@ TEST(Partitioner, MixedModelSplitsControlAndThreads) {
 TEST(Partitioner, EmptyModelIsDeterministicAndNeverThrows) {
     uml::Model model("empty");
     flow::PartitionReport a;
-    ASSERT_NO_THROW(a = flow::partition(model));
-    flow::PartitionReport b = flow::partition(model);
+    ASSERT_NO_THROW(a = flow::partition(model, core::analyze_communication(model)));
+    flow::PartitionReport b =
+        flow::partition(model, core::analyze_communication(model));
     EXPECT_EQ(a.subsystems.size(), b.subsystems.size());
     EXPECT_EQ(a.dominant, b.dominant);
     EXPECT_EQ(a.feedback_cycles, 0u);
@@ -241,13 +263,15 @@ TEST(Partitioner, SingleThreadModelIsOneDataflowSubsystem) {
     uml::ModelBuilder b("lonely");
     b.thread("T1");
     flow::PartitionReport report;
-    ASSERT_NO_THROW(report = flow::partition(b.model()));
+    ASSERT_NO_THROW(report = flow::partition(
+                        b.model(), core::analyze_communication(b.model())));
     ASSERT_EQ(report.subsystems.size(), 1u);
     EXPECT_EQ(report.subsystems[0].threads.size(), 1u);
     EXPECT_EQ(report.subsystems[0].kind, flow::SubsystemKind::Dataflow);
     EXPECT_EQ(report.feedback_cycles, 0u);
     // Deterministic: same classification on every call.
-    flow::PartitionReport again = flow::partition(b.model());
+    flow::PartitionReport again =
+        flow::partition(b.model(), core::analyze_communication(b.model()));
     EXPECT_EQ(again.subsystems[0].kind, report.subsystems[0].kind);
     EXPECT_EQ(again.subsystems[0].name, report.subsystems[0].name);
 }
@@ -257,7 +281,8 @@ TEST(Partitioner, AllControlFlowModelClassifiesEveryMachine) {
     model.add_state_machine("A").add_state("S");
     model.add_state_machine("B").add_state("S");
     flow::PartitionReport report;
-    ASSERT_NO_THROW(report = flow::partition(model));
+    ASSERT_NO_THROW(
+        report = flow::partition(model, core::analyze_communication(model)));
     ASSERT_EQ(report.subsystems.size(), 2u);
     for (const flow::Subsystem& s : report.subsystems) {
         EXPECT_EQ(s.kind, flow::SubsystemKind::ControlFlow) << s.name;
@@ -409,6 +434,33 @@ TEST(Generate, SharedCaamComputedExactlyOncePerSubsystem) {
         EXPECT_TRUE(result.ok) << "gen_jobs=" << jobs;
         EXPECT_EQ(after - before, 1u)
             << "shared CAAM recomputed at gen_jobs=" << jobs;
+    }
+}
+
+// One communication analysis per generate: the partition pass's instance
+// feeds the shared CAAM prep, cpp-threads and kpn, serial or parallel.
+TEST(Generate, CommunicationAnalyzedOncePerGenerate) {
+    uml::Model model = cases::mixed_model();
+    for (bool with_kpn : {false, true}) {
+        for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+            flow::GenerateOptions options;
+            options.with_kpn = with_kpn;
+            options.gen_jobs = jobs;
+            diag::DiagnosticEngine engine;
+            obs::reset_spans();
+            obs::set_enabled(true);
+            flow::GenerateResult result = flow::generate(model, options, engine);
+            obs::set_enabled(false);
+            std::vector<obs::SpanRecord> spans = obs::spans_snapshot();
+            obs::reset_spans();
+            EXPECT_TRUE(result.ok);
+            EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                                    [](const obs::SpanRecord& s) {
+                                        return s.name == "core.comm-analyze";
+                                    }),
+                      1)
+                << "with_kpn=" << with_kpn << " gen_jobs=" << jobs;
+        }
     }
 }
 
