@@ -54,8 +54,9 @@ std::size_t delay_every_channel(simulink::Model& caam) {
     std::function<void(simulink::System&)> walk = [&](simulink::System& sys) {
         for (simulink::Block* b : sys.blocks())
             if (b->system()) walk(*b->system());
-        std::vector<simulink::Block*> channels =
-            sys.blocks_of(simulink::BlockType::CommChannel);
+        // A copy: the loop below adds blocks to the system it views.
+        auto view = sys.blocks_of(simulink::BlockType::CommChannel);
+        const std::vector<simulink::Block*> channels(view.begin(), view.end());
         for (simulink::Block* chan : channels) {
             simulink::Line* line = sys.line_from({chan, 1});
             if (!line) continue;

@@ -23,20 +23,6 @@ using transform::sanitize_identifier;
 
 namespace {
 
-int port_number(const Block& b) {
-    std::string text = b.parameter_or("Port", "1");
-    try {
-        std::size_t used = 0;
-        int value = std::stoi(text, &used);
-        if (used != text.size()) throw std::invalid_argument(text);
-        return value;
-    } catch (const std::exception&) {
-        throw std::runtime_error("block '" + b.name() +
-                                 "' has a non-numeric Port parameter ('" + text +
-                                 "')");
-    }
-}
-
 /// Where a thread boundary port connects outside the Thread-SS.
 struct Endpoint {
     enum Kind { Channel, Env, Delay } kind = Env;
@@ -106,7 +92,7 @@ private:
             // CPU boundary marker: surface to the root.
             const Block* cpu = b.parent()->owner_block();
             const Line* line = cpu->parent() == &model_->root()
-                                   ? cpu->line_into(port_number(b))
+                                   ? cpu->line_into(b.port_number())
                                    : nullptr;
             if (!line)
                 throw std::runtime_error("undriven CPU input feeding codegen");
@@ -132,7 +118,7 @@ private:
                     out.push_back(
                         {Endpoint::Env, nullptr, b.parameter_or("Var", b.name())});
                 } else {
-                    resolve_sinks(*b.parent()->owner_block(), port_number(b), out);
+                    resolve_sinks(*b.parent()->owner_block(), b.port_number(), out);
                 }
             } else if (b.type() == BlockType::SubSystem) {
                 // Another CPU fed directly (no channel) — not produced by
@@ -273,7 +259,7 @@ private:
         const System& sys = *tc.tss->system();
 
         // Topological order of the thread layer (UnitDelay = source).
-        std::vector<const Block*> blocks = sys.blocks();
+        const auto blocks = sys.blocks();
         std::map<const Block*, std::size_t> idx;
         for (std::size_t i = 0; i < blocks.size(); ++i) idx[blocks[i]] = i;
         std::vector<std::vector<std::size_t>> consumers(blocks.size());
@@ -309,7 +295,7 @@ private:
         for (const Block* b : order) {
             switch (b->type()) {
                 case BlockType::Inport: {
-                    int tss_port = port_number(*b);
+                    int tss_port = b->port_number();
                     const Endpoint& src = tc.input_sources.at(tss_port);
                     std::string rhs;
                     switch (src.kind) {
@@ -407,7 +393,7 @@ private:
                            input_expr(*b, 1) + ");");
                     break;
                 case BlockType::Outport: {
-                    int tss_port = port_number(*b);
+                    int tss_port = b->port_number();
                     std::string expr = input_expr(*b, 1);
                     auto sinks = tc.output_sinks.find(tss_port);
                     if (sinks != tc.output_sinks.end()) {

@@ -1,10 +1,10 @@
 #include "core/delays.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <optional>
-#include <set>
 #include <stdexcept>
+#include <unordered_map>
 #include <vector>
 
 namespace uhcg::core {
@@ -23,174 +23,182 @@ struct Atom {
     int port = 1;
     bool is_output = false;
 
-    friend auto operator<=>(const Atom&, const Atom&) = default;
+    friend bool operator==(const Atom&, const Atom&) = default;
 };
 
-/// An edge of the dependency graph. Line edges remember the destination
-/// port so a UnitDelay can be spliced into the line feeding it.
-struct Dep {
-    Atom to;
-    const Line* line = nullptr;  // nullptr for intra-block dependencies
-    PortRef line_dst;            // valid when line != nullptr
+/// A depth-first visit of one atom; `next` counts the edges taken out of it.
+struct Frame {
+    Atom atom;
+    int next = 0;
+};
+
+enum Color : std::uint8_t { White, Gray, Black };
+
+/// `rows` bitsets of `bits` bits each, stored flat.
+struct BitRows {
+    BitRows(std::size_t rows, std::size_t bits)
+        : words((bits + 63) / 64), data(rows * words) {}
+    void set(std::size_t row, std::size_t bit) {
+        data[row * words + bit / 64] |= std::uint64_t{1} << (bit % 64);
+    }
+    bool test(std::size_t row, std::size_t bit) const {
+        return (data[row * words + bit / 64] >> (bit % 64)) & 1u;
+    }
+    /// Row `into` |= row `from` of `src`, which has the same width.
+    void merge(std::size_t into, const BitRows& src, std::size_t from) {
+        for (std::size_t w = 0; w < words; ++w)
+            data[into * words + w] |= src.data[from * words + w];
+    }
+
+    std::size_t words;
+    std::vector<std::uint64_t> data;
 };
 
 class CycleAnalyzer {
 public:
-    /// Combinational in→out reachability of a subsystem block, memoized.
-    const std::vector<std::vector<bool>>& subsystem_reach(const Block& sub) {
-        auto it = reach_memo_.find(&sub);
-        if (it != reach_memo_.end()) return it->second;
-        const System& sys = *sub.system();
-        std::vector<std::vector<bool>> table(
-            static_cast<std::size_t>(sub.input_count()) + 1,
-            std::vector<bool>(static_cast<std::size_t>(sub.output_count()) + 1,
-                              false));
-        // For each inner Inport (Port=i), DFS the atom graph; reached inner
-        // Outport (Port=j) ⇒ in i → out j is combinational.
-        for (const Block* b : sys.blocks()) {
-            if (b->type() != BlockType::Inport) continue;
-            int i = std::stoi(b->parameter_or("Port", "0"));
-            if (i <= 0 || i > sub.input_count()) continue;
-            std::set<Atom> visited;
-            std::vector<Atom> stack{{b, 1, true}};
-            while (!stack.empty()) {
-                Atom a = stack.back();
-                stack.pop_back();
-                if (!visited.insert(a).second) continue;
-                for (const Dep& d : dependencies(a)) stack.push_back(d.to);
-            }
-            for (const Block* o : sys.blocks()) {
-                if (o->type() != BlockType::Outport) continue;
-                int j = std::stoi(o->parameter_or("Port", "0"));
-                if (j <= 0 || j > sub.output_count()) continue;
-                if (visited.count({o, 1, false}) != 0) table[i][j] = true;
-            }
+    /// The next dependency edge out of `f.atom`, advancing `f`; nullopt once
+    /// all are taken. An output feeds the inputs its line drives (a line
+    /// edge); an input feeds the outputs of its block it reaches in a step.
+    std::optional<Atom> next_dep(Frame& f) const {
+        const Block& b = *f.atom.block;
+        if (f.atom.is_output) {
+            const Line* line = b.line_from(f.atom.port);
+            if (!line || f.next == static_cast<int>(line->destinations().size()))
+                return std::nullopt;
+            const PortRef& dst =
+                line->destinations()[static_cast<std::size_t>(f.next++)];
+            return Atom{dst.block, dst.port, false};
         }
-        return reach_memo_.emplace(&sub, std::move(table)).first->second;
-    }
-
-    /// Outgoing dependency edges of an atom within its system.
-    std::vector<Dep> dependencies(const Atom& atom) {
-        std::vector<Dep> out;
-        if (atom.is_output) {
-            // Output port → every input it drives, via lines.
-            if (const Line* line = atom.block->line_from(atom.port)) {
-                for (const PortRef& dst : line->destinations())
-                    out.push_back({{dst.block, dst.port, false}, line, dst});
-            }
-            return out;
-        }
-        // Input port → block outputs it combinationally feeds.
-        const Block& b = *atom.block;
         switch (b.type()) {
             case BlockType::UnitDelay:
             case BlockType::Inport:
             case BlockType::Outport:
             case BlockType::Scope:
-                break;  // no combinational propagation
+                return std::nullopt;  // no combinational propagation
             case BlockType::SubSystem: {
-                const auto& table = subsystem_reach(b);
-                for (int j = 1; j <= b.output_count(); ++j)
-                    if (table[static_cast<std::size_t>(atom.port)]
-                             [static_cast<std::size_t>(j)])
-                        out.push_back({{&b, j, true}, nullptr, {}});
-                break;
+                // std::out_of_range, a std::logic_error, if the body has not
+                // been found acyclic.
+                const BitRows& table = reach_.at(&b);
+                while (f.next < b.output_count())
+                    if (table.test(static_cast<std::size_t>(f.atom.port - 1),
+                                   static_cast<std::size_t>(f.next++)))
+                        return Atom{&b, f.next, true};
+                return std::nullopt;
             }
             default:
                 // Product, Sum, Gain, S-Function, CommChannel, Constant:
                 // every input feeds every output within the step.
-                for (int j = 1; j <= b.output_count(); ++j)
-                    out.push_back({{&b, j, true}, nullptr, {}});
-                break;
+                if (f.next == b.output_count()) return std::nullopt;
+                return Atom{&b, ++f.next, true};
         }
-        return out;
     }
 
-    /// Finds one combinational cycle in `sys`; returns the port to splice at
-    /// (the "data link where the loop is detected"). nullopt = acyclic.
-    /// Depth-first with an explicit stack of frames, so the depth of the
-    /// longest combinational chain never reaches the call stack; edges are
-    /// taken in dependency order, the order a recursive walk would use.
-    std::optional<PortRef> find_cycle(const System& sys) {
-        std::map<Atom, int> color;  // 0 white, 1 gray, 2 black
-        std::vector<std::pair<Atom, Dep>> path;  // (atom, edge taken into it)
-        struct Frame {
-            Atom atom;
-            std::vector<Dep> deps;
-            std::size_t next = 0;  ///< next dependency to examine
+    /// Finds one combinational cycle in `sys`; returns the input port to
+    /// splice at (the "data link where the loop is detected"). nullopt =
+    /// acyclic. Depth-first over dense atom ids (each block's inputs, then
+    /// its outputs) with an explicit stack, taking edges in dependency
+    /// order. The post-order also gives each atom the set of `sys`'s
+    /// Outports it reaches: an acyclic subsystem body so yields the in→out
+    /// reach table its parent's search reads. Both passes visit children
+    /// before parents and stop at a cyclic one, so the table always exists.
+    std::optional<Atom> find_cycle(const System& sys) {
+        std::unordered_map<const Block*, std::size_t> first;
+        std::size_t atoms = 0;
+        for (const Block* b : sys.blocks()) {
+            first.emplace(b, atoms);
+            atoms += static_cast<std::size_t>(b->input_count() + b->output_count());
+        }
+        auto id = [&](const Atom& a) {
+            return first.at(a.block) +
+                   static_cast<std::size_t>(
+                       (a.is_output ? a.block->input_count() : 0) + a.port - 1);
         };
-        std::vector<Frame> stack;
-        auto enter = [&](const Atom& a) {
-            color[a] = 1;
-            stack.push_back({a, dependencies(a)});
-        };
+        const Block* owner = sys.owner_block();
+        const int outputs = owner ? owner->output_count() : 0;
+        auto as_size = [](int n) { return static_cast<std::size_t>(n); };
+        BitRows reaches(atoms, as_size(outputs));
+        for (const Block* b : sys.blocks())
+            if (owner && b->type() == BlockType::Outport)
+                if (const int j = b->port_number(); j >= 1 && j <= outputs)
+                    reaches.set(id({b, 1, false}), as_size(j - 1));
 
+        std::vector<Color> color(atoms, White);
+        std::vector<Frame> stack;
         for (const Block* b : sys.blocks()) {
             for (int p = 1; p <= b->output_count(); ++p) {
-                Atom root{b, p, true};
-                if (color[root] != 0) continue;
-                path.clear();
-                enter(root);
+                if (color[id({b, p, true})] != White) continue;
+                color[id({b, p, true})] = Gray;
+                stack.push_back({{b, p, true}});
                 while (!stack.empty()) {
-                    Frame& top = stack.back();
-                    if (top.next == top.deps.size()) {
-                        color[top.atom] = 2;
+                    const std::size_t from = id(stack.back().atom);
+                    const std::optional<Atom> to = next_dep(stack.back());
+                    if (!to) {
+                        color[from] = Black;
                         stack.pop_back();
-                        if (!stack.empty()) path.pop_back();
+                        if (!stack.empty())
+                            reaches.merge(id(stack.back().atom), reaches, from);
                         continue;
                     }
-                    const Dep d = top.deps[top.next++];
-                    int c = color[d.to];
-                    if (c == 1) {
-                        // Back edge: the cycle is d plus the path suffix
-                        // from d.to. Cut at the back edge when it is a
-                        // line, otherwise at the last line edge on the
-                        // suffix.
-                        if (d.line) return d.line_dst;
-                        for (auto it = path.rbegin(); it != path.rend(); ++it) {
-                            // The entry *for* d.to records the edge that
-                            // led into the cycle head — not a cycle edge;
-                            // stop before considering it.
-                            if (it->first == d.to) break;
-                            if (it->second.line) return it->second.line_dst;
-                        }
+                    const std::size_t t = id(*to);
+                    if (color[t] == Gray) {
+                        // Back edge: the cycle is it plus the stack suffix
+                        // from *to. Cut at the back edge when it is a line
+                        // edge (into an input), otherwise at the last line
+                        // edge on the suffix; the edge into *to is not on
+                        // the cycle.
+                        if (!to->is_output) return to;
+                        for (auto it = stack.rbegin(); it->atom != *to; ++it)
+                            if (!it->atom.is_output) return it->atom;
                         throw std::logic_error(
                             "combinational cycle without any line edge");
                     }
-                    if (c == 0) {
-                        path.emplace_back(d.to, d);
-                        enter(d.to);
+                    if (color[t] == Black) {
+                        reaches.merge(from, reaches, t);
+                    } else {
+                        color[t] = Gray;
+                        stack.push_back({*to});
                     }
                 }
             }
+        }
+        if (owner) {
+            const int inputs = owner->input_count();
+            BitRows table(as_size(inputs), as_size(outputs));
+            for (const Block* b : sys.blocks())
+                if (b->type() == BlockType::Inport)
+                    if (const int i = b->port_number(); i >= 1 && i <= inputs)
+                        table.merge(as_size(i - 1), reaches, id({b, 1, true}));
+            reach_.insert_or_assign(owner, std::move(table));
         }
         return std::nullopt;
     }
 
 private:
-    std::map<const Block*, std::vector<std::vector<bool>>> reach_memo_;
+    /// Per subsystem block: input i reaches output j when bit j-1 of row
+    /// i-1 is set.
+    std::unordered_map<const Block*, BitRows> reach_;
 };
 
 /// Breaks all cycles in one system (children must already be processed).
 void break_cycles(System& sys, CycleAnalyzer& analyzer, DelayReport& report) {
-    for (;;) {
-        auto dst = analyzer.find_cycle(sys);
-        if (!dst) return;
-        Line& line = *sys.line_into(*dst);
+    while (const std::optional<Atom> cut = analyzer.find_cycle(sys)) {
+        // find_cycle reads `sys` as const; look the block up for writing.
+        const PortRef dst{sys.find_block(cut->block->name()), cut->port};
+        Line& line = *sys.line_into(dst);
         PortRef src = line.source();
         std::string signal = line.name();
 
-        sys.disconnect(line, *dst);
+        sys.disconnect(line, dst);
         Block& delay = sys.add_block(sys.unique_name("Delay"), BlockType::UnitDelay);
         delay.set_parameter("SampleTime", "-1");
         sys.add_line(src, {&delay, 1}, signal);
-        sys.add_line({&delay, 1}, *dst, signal);
+        sys.add_line({&delay, 1}, dst, signal);
 
         ++report.inserted;
         report.locations.push_back(sys.name() + ": " + src.block->name() + "." +
                                    std::to_string(src.port) + " -> " +
-                                   dst->block->name() + "." +
-                                   std::to_string(dst->port));
+                                   dst.block->name() + "." +
+                                   std::to_string(dst.port));
     }
 }
 

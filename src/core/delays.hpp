@@ -7,7 +7,7 @@
 //
 // Detection is port-accurate: a SubSystem contributes an in→out dependency
 // only when a combinational path actually exists through its contents
-// (computed recursively), so parallel paths through a subsystem do not
+// (computed children first), so parallel paths through a subsystem do not
 // produce false cycles. UnitDelay blocks (including previously inserted
 // ones) and nothing else break combinational paths; communication channels
 // are pass-through within a step, which is exactly why an undelayed cycle

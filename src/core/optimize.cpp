@@ -149,7 +149,7 @@ ChannelReport infer_channels(simulink::Model& model, const CommModel& comm) {
                 const std::string* kind = boundary->find_parameter("CommKind");
                 if (!kind || *kind == kCommKindChannel) continue;
                 const std::string var = boundary->parameter_or("Var", "?");
-                int tss_port = std::stoi(boundary->parameter_or("Port", "0"));
+                int tss_port = boundary->port_number();
                 if (boundary->type() == BlockType::Inport) {
                     // Thread input ← CPU input ← system Inport block.
                     int cpu_in = add_subsystem_input(*cpu, var, {tss, tss_port});

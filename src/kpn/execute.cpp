@@ -175,8 +175,12 @@ KpnResult Executor::run_impl(std::size_t rounds, diag::DiagnosticEngine* engine,
                 std::vector<double> outs(p->output_count(), 0.0);
                 kernels_[i]->kernel(ins, outs, state[p]);
                 for (std::size_t port = 0; port < p->output_count(); ++port) {
-                    for (int c : out_chans[p][port])
-                        queues[static_cast<std::size_t>(c)].push_back(outs[port]);
+                    for (int c : out_chans[p][port]) {
+                        auto& q = queues[static_cast<std::size_t>(c)];
+                        q.push_back(outs[port]);
+                        result.max_queue_depth =
+                            std::max(result.max_queue_depth, q.size());
+                    }
                     if (out_is_network[p][port] || out_chans[p][port].empty())
                         result.outputs[p->output_name(port)].push_back(outs[port]);
                 }
@@ -186,7 +190,8 @@ KpnResult Executor::run_impl(std::size_t rounds, diag::DiagnosticEngine* engine,
                 static obs::Counter& firings = obs::counter("kpn.firings");
                 firings.add(1);
                 progress = true;
-                track_depth();
+                // Past the first firing a queue only deepens by a push.
+                if (result.firings == 1) track_depth();
                 if (budget.max_firings && result.firings >= budget.max_firings &&
                     engine) {
                     // Livelock watchdog: the budget bounds total work even

@@ -1,7 +1,9 @@
 #include "kpn/from_uml.hpp"
 
 #include <map>
-#include <set>
+#include <string_view>
+#include <tuple>
+#include <unordered_map>
 
 #include "kpn/generic.hpp"
 #include "uml/generic.hpp"
@@ -24,12 +26,20 @@ KpnMappingOutput map_to_kpn(const uml::Model& model, const core::CommModel& comm
         const uml::Model* um;
         const core::CommModel* comm;
         Object* network = nullptr;
+        /// The first object of each name, as Model::find_object answers.
+        std::unordered_map<std::string_view, const uml::ObjectInstance*> objects;
         std::map<const uml::ObjectInstance*, Object*> processes;
+        /// (thread, variable, is_input) → index of the process port.
+        std::map<std::tuple<const uml::ObjectInstance*, std::string, bool>,
+                 std::int64_t>
+            port_of;
         std::size_t counter = 0;
     };
     auto st = std::make_shared<State>();
     st->um = &model;
     st->comm = &comm;
+    for (const uml::ObjectInstance* o : model.objects())
+        st->objects.emplace(o->name(), o);
 
     transform::Engine engine(kpn_metamodel());
 
@@ -50,30 +60,30 @@ KpnMappingOutput map_to_kpn(const uml::Model& model, const core::CommModel& comm
         {"Thread2Process", "ObjectInstance",
          [](const Object& o) { return o.get_bool("isThread"); },
          [st](transform::Context& ctx, const Object& src) {
-             const uml::ObjectInstance* typed =
-                 st->um->find_object(src.get_string("name"));
-             if (!typed) return;
+             auto found = st->objects.find(src.get_string("name"));
+             if (found == st->objects.end()) return;
+             const uml::ObjectInstance* typed = found->second;
              Object& p = ctx.create(src, "Thread2Process", "Process",
                                     "proc." + typed->name());
              p.set("name", typed->name());
              p.set("kernel", typed->name());
-             std::set<std::string> in_vars, out_vars;
              std::int64_t in_index = 0, out_index = 0;
              auto add_port = [&](const std::string& var, bool is_input) {
-                 auto& seen = is_input ? in_vars : out_vars;
-                 if (!seen.insert(var).second) return;
+                 std::int64_t& next = is_input ? in_index : out_index;
+                 if (!st->port_of.try_emplace({typed, var, is_input}, next).second)
+                     return;
                  Object& port = ctx.target().create(
                      "Port", p.id() + (is_input ? ".in" : ".out") +
                                  std::to_string(st->counter++));
-                 port.set("index", is_input ? in_index++ : out_index++);
+                 port.set("index", next++);
                  port.set("isInput", is_input);
                  port.set("var", var);
                  p.add_ref("ports", port);
              };
-             for (const core::Channel* l : st->comm->links()) {
-                 if (l->consumer == typed) add_port(l->variable, true);
-                 if (l->producer == typed) add_port(l->variable, false);
-             }
+             for (const core::Channel* c : st->comm->incoming(*typed))
+                 add_port(c->variable, true);
+             for (const core::Channel* c : st->comm->outgoing(*typed))
+                 add_port(c->variable, false);
              for (const core::IoAccess* a : st->comm->io_inputs(*typed))
                  add_port(a->variable, true);
              for (const core::IoAccess* a : st->comm->io_outputs(*typed))
@@ -85,13 +95,11 @@ KpnMappingOutput map_to_kpn(const uml::Model& model, const core::CommModel& comm
     engine.add_rule(
         {"Links2Channels", "Model", nullptr,
          [st](transform::Context& ctx, const Object& src) {
-             auto port_index = [&](Object& proc, const std::string& var,
+             auto port_index = [&](const uml::ObjectInstance* thread,
+                                   const std::string& var,
                                    bool is_input) -> std::int64_t {
-                 for (const Object* port : proc.refs("ports"))
-                     if (port->get_bool("isInput") == is_input &&
-                         port->get_string("var") == var)
-                         return port->get_int("index");
-                 return -1;
+                 auto it = st->port_of.find({thread, var, is_input});
+                 return it == st->port_of.end() ? -1 : it->second;
              };
              std::size_t index = 0;
              for (const core::Channel* l : st->comm->links()) {
@@ -100,8 +108,8 @@ KpnMappingOutput map_to_kpn(const uml::Model& model, const core::CommModel& comm
                  Object& c = ctx.create(src, "Links2Channels", "Channel",
                                         "chan." + std::to_string(index++));
                  c.set("variable", l->variable);
-                 c.set("producerPort", port_index(producer, l->variable, false));
-                 c.set("consumerPort", port_index(consumer, l->variable, true));
+                 c.set("producerPort", port_index(l->producer, l->variable, false));
+                 c.set("consumerPort", port_index(l->consumer, l->variable, true));
                  c.set_ref("producer", &producer);
                  c.set_ref("consumer", &consumer);
                  st->network->add_ref("channels", c);
@@ -114,7 +122,7 @@ KpnMappingOutput map_to_kpn(const uml::Model& model, const core::CommModel& comm
                                         "nport." + std::to_string(nport++));
                  p.set("var", a.variable);
                  p.set("isInput", a.is_input);
-                 p.set("port", port_index(*it->second, a.variable, a.is_input));
+                 p.set("port", port_index(a.thread, a.variable, a.is_input));
                  p.set_ref("process", it->second);
                  st->network->add_ref("ports", p);
              }
@@ -133,31 +141,34 @@ KpnMappingOutput map_to_kpn(const uml::Model& model, const core::CommModel& comm
     out.network = from_generic(generic);
 
     // §4.2.2 analogue: seed initial tokens on cycle-breaking channels of
-    // the process graph (DFS back edges).
+    // the process graph (DFS back edges), on an explicit stack so a long
+    // process chain never reaches the call stack.
     if (options.auto_initial_tokens) {
-        auto procs = out.network.processes();
-        std::map<const Process*, std::size_t> index;
-        for (std::size_t i = 0; i < procs.size(); ++i) index[procs[i]] = i;
+        std::map<const Process*, std::vector<ChannelDecl*>> produced;
+        for (ChannelDecl& c : out.network.channels())
+            produced[c.producer].push_back(&c);
         enum Color { White, Gray, Black };
-        std::vector<Color> color(procs.size(), White);
-        auto dfs = [&](auto&& self, std::size_t p) -> void {
-            color[p] = Gray;
-            for (ChannelDecl& c : out.network.channels()) {
-                if (index.at(c.producer) != p) continue;
-                std::size_t q = index.at(c.consumer);
-                if (color[q] == Gray) {
-                    if (c.initial_tokens == 0) {
-                        c.initial_tokens = 1;  // break the cycle
-                        ++out.initial_tokens_inserted;
-                    }
-                } else if (color[q] == White) {
-                    self(self, q);
+        std::map<const Process*, Color> color;
+        std::vector<std::pair<const Process*, std::size_t>> stack;  // process, next
+        for (const Process* root : out.network.processes()) {
+            if (color[root] != White) continue;
+            color[root] = Gray;
+            stack.emplace_back(root, 0);
+            while (!stack.empty()) {
+                auto& [p, next] = stack.back();
+                if (next == produced[p].size()) {
+                    color[p] = Black;
+                    stack.pop_back();
+                } else if (ChannelDecl& c = *produced[p][next++];
+                           color[c.consumer] == White) {
+                    color[c.consumer] = Gray;
+                    stack.emplace_back(c.consumer, 0);
+                } else if (color[c.consumer] == Gray && c.initial_tokens == 0) {
+                    c.initial_tokens = 1;  // break the cycle
+                    ++out.initial_tokens_inserted;
                 }
             }
-            color[p] = Black;
-        };
-        for (std::size_t p = 0; p < procs.size(); ++p)
-            if (color[p] == White) dfs(dfs, p);
+        }
     }
 
     auto problems = out.network.check();

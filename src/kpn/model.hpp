@@ -18,6 +18,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace uhcg::kpn {
@@ -111,6 +112,8 @@ public:
 private:
     std::string name_;
     std::vector<std::unique_ptr<Process>> processes_;
+    /// Keyed on each process's own name, which lives as long as the entry.
+    std::unordered_map<std::string_view, Process*> by_name_;
     std::vector<ChannelDecl> channels_;
     std::vector<NetworkPort> inputs_;
     std::vector<NetworkPort> outputs_;

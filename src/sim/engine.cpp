@@ -56,14 +56,6 @@ bool is_marker(const Block& b, const System& root) {
     return b.parent() != &root;
 }
 
-std::string full_path(const Block& b) {
-    std::string path = b.name();
-    for (const System* s = b.parent(); s && s->owner_block();
-         s = s->owner_block()->parent())
-        path = s->owner_block()->name() + "/" + path;
-    return path;
-}
-
 /// Numeric block parameters parsed with context: a corrupt model file must
 /// name the block and parameter at fault, not die in a bare std::stod.
 double param_double(const Block& b, const char* name, const char* fallback) {
@@ -74,21 +66,8 @@ double param_double(const Block& b, const char* name, const char* fallback) {
         if (used != v.size()) throw std::invalid_argument(v);
         return parsed;
     } catch (const std::exception&) {
-        throw std::runtime_error("block '" + full_path(b) + "' parameter '" +
+        throw std::runtime_error("block '" + b.path() + "' parameter '" +
                                  name + "' is not a number (got '" + v + "')");
-    }
-}
-
-int port_number(const Block& b) {
-    std::string v = b.parameter_or("Port", "1");
-    try {
-        std::size_t used = 0;
-        int parsed = std::stoi(v, &used);
-        if (used != v.size()) throw std::invalid_argument(v);
-        return parsed;
-    } catch (const std::exception&) {
-        throw std::runtime_error("block '" + full_path(b) +
-                                 "' has a non-numeric Port (got '" + v + "')");
     }
 }
 
@@ -121,32 +100,32 @@ struct Simulator::Net {
     };
 
     std::map<const Block*, int> first_slot_of;  // atomic block → output slot
+    /// (subsystem, Port) → inner Outport; the first in block order wins.
+    std::map<std::pair<const Block*, int>, const Block*> outport_of;
 
     Driver resolve_output(PortRef src, const System& root) {
         Block& b = *src.block;
         if (b.type() == BlockType::SubSystem) {
             // Dive: the inner Outport with Port == src.port.
-            for (Block* inner : b.system()->blocks()) {
-                if (inner->type() == BlockType::Outport &&
-                    port_number(*inner) == src.port) {
-                    const Line* line = inner->line_into(1);
-                    if (!line)
-                        throw std::runtime_error("undriven Outport '" +
-                                                 full_path(*inner) + "'");
-                    return resolve_output(line->source(), root);
-                }
-            }
-            throw std::runtime_error("subsystem '" + full_path(b) +
-                                     "' lacks Outport " + std::to_string(src.port));
+            auto inner = outport_of.find({&b, src.port});
+            if (inner == outport_of.end())
+                throw std::runtime_error("subsystem '" + b.path() +
+                                         "' lacks Outport " +
+                                         std::to_string(src.port));
+            const Line* line = inner->second->line_into(1);
+            if (!line)
+                throw std::runtime_error("undriven Outport '" +
+                                         inner->second->path() + "'");
+            return resolve_output(line->source(), root);
         }
         if (b.type() == BlockType::Inport && is_marker(b, root)) {
             // Surface: the owning subsystem's input port in the parent.
             Block* owner = b.parent()->owner_block();
-            const Line* line = owner->line_into(port_number(b));
+            const Line* line = owner->line_into(b.port_number());
             if (!line)
                 throw std::runtime_error("undriven subsystem input " +
-                                         std::to_string(port_number(b)) + " of '" +
-                                         full_path(*owner) + "'");
+                                         std::to_string(b.port_number()) + " of '" +
+                                         owner->path() + "'");
             return resolve_output(line->source(), root);
         }
         if (b.type() == BlockType::Inport) {
@@ -159,7 +138,7 @@ struct Simulator::Net {
         }
         auto slot = first_slot_of.find(&b);
         if (slot == first_slot_of.end())
-            throw std::logic_error("driver block '" + full_path(b) +
+            throw std::logic_error("driver block '" + b.path() +
                                    "' was not collected");
         return {slot->second + src.port - 1};
     }
@@ -173,7 +152,8 @@ Simulator::Simulator(const simulink::Model& model,
     const System& root = model.root();
 
     // Pass 1: collect atomic blocks (everything functional, plus root
-    // Inports/Outports and Scopes) and assign output value slots.
+    // Inports/Outports and Scopes) and assign output value slots; index
+    // each subsystem's Outports by port number for the dive.
     std::vector<const Block*> atomics;
     auto collect = [&](const System& sys, auto&& self) -> void {
         for (const Block* b : sys.blocks()) {
@@ -181,8 +161,11 @@ Simulator::Simulator(const simulink::Model& model,
                 self(*b->system(), self);
                 continue;
             }
-            if (is_marker(*b, root)) continue;
-            atomics.push_back(b);
+            if (!is_marker(*b, root))
+                atomics.push_back(b);
+            else if (b->type() == BlockType::Outport)
+                net.outport_of.emplace(
+                    std::pair{sys.owner_block(), b->port_number()}, b);
         }
     };
     collect(root, collect);
@@ -238,12 +221,12 @@ Simulator::Simulator(const simulink::Model& model,
         std::vector<std::string> cycle;
         std::vector<CycleEdge> edges;
         for (std::size_t i : sorted.stuck) {
-            cycle.push_back(full_path(*atomics[i]));
+            cycle.push_back(atomics[i]->path());
             // Edges among the stuck blocks show the actual loop.
             for (int slot : pending[i].input_slots)
                 if (auto d = driver_of(slot); d && stuck[*d])
                     edges.push_back(
-                        {full_path(*atomics[*d]), full_path(*atomics[i])});
+                        {atomics[*d]->path(), atomics[i]->path()});
         }
         throw DeadlockError(std::move(cycle), std::move(edges));
     }
@@ -253,7 +236,7 @@ Simulator::Simulator(const simulink::Model& model,
         const Block* b = atomics[i];
         Net::AtomicBlock rec;
         rec.block = b;
-        rec.path = full_path(*b);
+        rec.path = b->path();
         rec.input_slots = pending[i].input_slots;
         rec.first_output_slot = net.first_slot_of[b];
         if (b->type() == BlockType::UnitDelay) {

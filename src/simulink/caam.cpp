@@ -13,30 +13,33 @@ void walk(const System& system,
     }
 }
 
+/// The blocks of `sys` that have `role`, in block order.
+template <class SystemT>
+auto with_role(SystemT& sys, CaamRole role) {
+    std::vector<std::ranges::range_value_t<decltype(sys.blocks())>> out;
+    for (auto* b : sys.blocks())
+        if (b->role() == role) out.push_back(b);
+    return out;
+}
+
 }  // namespace
 
 std::vector<Block*> cpu_subsystems(Model& model) {
-    return model.root().blocks_with_role(CaamRole::CpuSubsystem);
+    return with_role(model.root(), CaamRole::CpuSubsystem);
 }
 
 std::vector<const Block*> cpu_subsystems(const Model& model) {
-    std::vector<const Block*> out;
-    for (const Block* b : model.root().blocks())
-        if (b->role() == CaamRole::CpuSubsystem) out.push_back(b);
-    return out;
+    return with_role(model.root(), CaamRole::CpuSubsystem);
 }
 
 std::vector<Block*> thread_subsystems(Block& cpu) {
     if (!cpu.system()) return {};
-    return cpu.system()->blocks_with_role(CaamRole::ThreadSubsystem);
+    return with_role(*cpu.system(), CaamRole::ThreadSubsystem);
 }
 
 std::vector<const Block*> thread_subsystems(const Block& cpu) {
-    std::vector<const Block*> out;
-    if (!cpu.system()) return out;
-    for (const Block* b : cpu.system()->blocks())
-        if (b->role() == CaamRole::ThreadSubsystem) out.push_back(b);
-    return out;
+    if (!cpu.system()) return {};
+    return with_role(*cpu.system(), CaamRole::ThreadSubsystem);
 }
 
 std::vector<const Block*> inter_cpu_channels(const Model& model) {

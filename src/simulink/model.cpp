@@ -97,6 +97,28 @@ std::string Block::parameter_or(std::string_view key, std::string fallback) cons
     return fallback;
 }
 
+int Block::port_number() const {
+    const std::string* text = find_parameter("Port");
+    if (!text) return 1;
+    try {
+        std::size_t used = 0;
+        int port = std::stoi(*text, &used);
+        if (used == text->size()) return port;
+    } catch (const std::logic_error&) {
+    }
+    throw std::invalid_argument("block '" + path() +
+                                "' has a non-integer Port parameter '" + *text +
+                                "'");
+}
+
+std::string Block::path() const {
+    std::string path = name_;
+    for (const System* s = parent_; s && s->owner_block();
+         s = s->owner_block()->parent())
+        path = s->owner_block()->name() + "/" + path;
+    return path;
+}
+
 namespace {
 
 /// The slot of a 1-based port among `count` slots; nullptr when out of range.
@@ -204,32 +226,6 @@ std::string System::unique_name(const std::string& hint) const {
     return hint + "_" + std::to_string(i);
 }
 
-std::vector<Block*> System::blocks() {
-    std::vector<Block*> out;
-    for (const auto& b : blocks_) out.push_back(b.get());
-    return out;
-}
-
-std::vector<const Block*> System::blocks() const {
-    std::vector<const Block*> out;
-    for (const auto& b : blocks_) out.push_back(b.get());
-    return out;
-}
-
-std::vector<Block*> System::blocks_of(BlockType type) {
-    std::vector<Block*> out;
-    for (const auto& b : blocks_)
-        if (b->type() == type) out.push_back(b.get());
-    return out;
-}
-
-std::vector<Block*> System::blocks_with_role(CaamRole role) {
-    std::vector<Block*> out;
-    for (const auto& b : blocks_)
-        if (b->role() == role) out.push_back(b.get());
-    return out;
-}
-
 void System::remove_block(Block& block) {
     auto it = std::find_if(blocks_.begin(), blocks_.end(),
                            [&](const auto& b) { return b.get() == &block; });
@@ -294,18 +290,6 @@ const Line* System::line_into(const PortRef& dst) const {
     return dst.block && dst.block->parent() == this
                ? slot(dst.block->in_lines(), dst.block->inputs_, dst.port)
                : nullptr;
-}
-
-std::vector<Line*> System::lines() {
-    std::vector<Line*> out;
-    for (const auto& l : lines_) out.push_back(l.get());
-    return out;
-}
-
-std::vector<const Line*> System::lines() const {
-    std::vector<const Line*> out;
-    for (const auto& l : lines_) out.push_back(l.get());
-    return out;
 }
 
 void System::remove_line(Line& line) {

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <ranges>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -91,6 +92,12 @@ public:
     void set_parameter(std::string_view key, std::string_view value);
     const std::string* find_parameter(std::string_view key) const;
     std::string parameter_or(std::string_view key, std::string fallback) const;
+    /// The `Port` parameter of an Inport/Outport: 1 when absent (Simulink's
+    /// default). Throws std::invalid_argument naming the block and the value
+    /// when it is not an integer.
+    int port_number() const;
+    /// Names of the enclosing subsystems and this block, joined by '/'.
+    std::string path() const;
     const std::map<std::string, std::string, std::less<>>& parameters() const {
         return params_;
     }
@@ -186,10 +193,16 @@ public:
     const Block* find_block(std::string_view name) const;
     /// `hint` if unused, else the first free `hint_1`, `hint_2`, ...
     std::string unique_name(const std::string& hint) const;
-    std::vector<Block*> blocks();
-    std::vector<const Block*> blocks() const;
-    std::vector<Block*> blocks_of(BlockType type);
-    std::vector<Block*> blocks_with_role(CaamRole role);
+    /// The blocks in insertion order as `Block*`: a view of the owning
+    /// vector, copying nothing. Like an iterator into it, a view is
+    /// invalidated when this system adds or removes a block; a caller that
+    /// does so while iterating copies first (DESIGN.md §17).
+    auto blocks() { return std::views::transform(blocks_, as<Block>); }
+    auto blocks() const { return std::views::transform(blocks_, as<const Block>); }
+    auto blocks_of(BlockType type) {
+        return blocks() |
+               std::views::filter([type](Block* b) { return b->type() == type; });
+    }
     /// Removes a block and every line endpoint touching it. Invalidates
     /// pointers to that block.
     void remove_block(Block& block);
@@ -201,8 +214,9 @@ public:
     /// Line feeding this destination port, or nullptr.
     Line* line_into(const PortRef& dst);
     const Line* line_into(const PortRef& dst) const;
-    std::vector<Line*> lines();
-    std::vector<const Line*> lines() const;
+    /// The lines in insertion order, as `blocks()` views the blocks.
+    auto lines() { return std::views::transform(lines_, as<Line>); }
+    auto lines() const { return std::views::transform(lines_, as<const Line>); }
     void remove_line(Line& line);
     /// Detaches `dst` from `line`, removing the line with its last destination.
     void disconnect(Line& line, const PortRef& dst);
@@ -212,6 +226,9 @@ public:
     std::size_t total_lines() const;
 
 private:
+    template <class T>
+    static constexpr auto as = [](const auto& owned) -> T* { return owned.get(); };
+
     std::string name_;
     Block* owner_;
     Model* model_;

@@ -152,8 +152,8 @@ TEST_F(DidacticMapping, NumericLiteralBecomesConstant) {
     // T2's mult(r3, 2.0): the literal materializes as a Constant block.
     Block* t2 = simulink::cpu_subsystems(caam)[0]->system()->find_block("T2");
     auto constants = t2->system()->blocks_of(BlockType::Constant);
-    ASSERT_EQ(constants.size(), 1u);
-    EXPECT_EQ(constants[0]->parameter_or("Value", ""), "2.0");
+    ASSERT_EQ(std::ranges::distance(constants), 1);
+    EXPECT_EQ(constants.front()->parameter_or("Value", ""), "2.0");
 }
 
 TEST_F(DidacticMapping, RuleStatsReported) {

@@ -3,11 +3,18 @@
 // including the initial-token ↔ temporal-barrier correspondence.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "cases/cases.hpp"
 #include "kpn/execute.hpp"
 #include "kpn/from_uml.hpp"
 #include "kpn/generic.hpp"
 #include "kpn/model.hpp"
+#include "run_with_stack.hpp"
+#include "uml/builder.hpp"
 
 namespace {
 
@@ -190,6 +197,81 @@ TEST(KpnExecute, InitialTokenUnblocksCycle) {
     EXPECT_LE(r.max_queue_depth, 1u);
 }
 
+TEST(KpnExecute, MaxQueueDepthIsTheDeepestQueueAfterAnyFiring) {
+    // The depth is observed after each firing, seeded queues included; the
+    // values are those of a scan of every queue after every firing.
+    KernelRegistry reg = inc_registry();
+    diag::DiagnosticEngine engine;
+    auto ring = [](std::size_t seeds) {
+        // B fires first and drains the seeded A→B queue before A refills it.
+        auto n = std::make_unique<Network>("ring");
+        Process& b = n->add_process("B");
+        b.add_input("x");
+        b.add_output("y");
+        Process& a = n->add_process("A");
+        a.add_input("y");
+        a.add_output("x");
+        n->connect(a, 0, b, 0, "x").initial_tokens = seeds;
+        n->connect(b, 0, a, 0, "y");
+        return n;
+    };
+    {
+        auto n = ring(3);
+        Executor exec(*n, reg);
+        EXPECT_EQ(exec.run(4).max_queue_depth, 3u);
+    }
+    {
+        // The watchdog stops after B's firing: only the seeds were seen.
+        auto n = ring(3);
+        Executor exec(*n, reg);
+        KpnResult r = exec.run(4, engine, {1});
+        EXPECT_TRUE(r.budget_exhausted);
+        EXPECT_EQ(r.max_queue_depth, 2u);
+    }
+    {
+        // src feeds a seeded queue, then C and D wait on each other.
+        Network n("stall");
+        Process& src = n.add_process("src");
+        src.add_output("x");
+        Process& mid = n.add_process("mid");
+        mid.add_input("x");
+        Process& c = n.add_process("C");
+        c.add_input("d");
+        c.add_output("c");
+        Process& d = n.add_process("D");
+        d.add_input("c");
+        d.add_output("d");
+        n.connect(src, 0, mid, 0, "x").initial_tokens = 2;
+        n.connect(c, 0, d, 0, "c");
+        n.connect(d, 0, c, 0, "d");
+        Executor exec(n, reg);
+        KpnResult r = exec.run(2, engine);
+        EXPECT_TRUE(r.deadlocked);
+        EXPECT_EQ(r.max_queue_depth, 3u);
+    }
+    {
+        // Nothing fires: E holds two tokens for F, but F also waits on E's
+        // second output and E on F.
+        Network n("stuck");
+        Process& e = n.add_process("E");
+        e.add_input("f");
+        e.add_output("u");
+        e.add_output("v");
+        Process& f = n.add_process("F");
+        f.add_input("u");
+        f.add_input("v");
+        f.add_output("f");
+        n.connect(e, 0, f, 0, "u").initial_tokens = 2;
+        n.connect(e, 1, f, 1, "v");
+        n.connect(f, 0, e, 0, "f");
+        Executor exec(n, reg);
+        KpnResult r = exec.run(1, engine);
+        EXPECT_TRUE(r.deadlocked);
+        EXPECT_EQ(r.firings, 0u);
+        EXPECT_EQ(r.max_queue_depth, 0u);
+    }
+}
+
 // --- UML → KPN mapping --------------------------------------------------------------
 
 TEST(KpnMapping, SyntheticBecomesTwelveProcesses) {
@@ -255,6 +337,43 @@ TEST(KpnMapping, IoBecomesNetworkPorts) {
     ASSERT_EQ(out.network.network_outputs().size(), 1u);
     EXPECT_EQ(out.network.network_outputs()[0].variable, "w");
     EXPECT_TRUE(out.network.check().empty());
+}
+
+TEST(KpnMapping, LongProcessChainNeedsNoDeepStack) {
+    // A ring of 40,000 threads, each forwarding a value to the next: the
+    // initial-token search walks one path through every process, on a
+    // 1 MiB stack. The diagram is built without name lookups, which would
+    // make the set-up quadratic.
+    constexpr int kThreads = 40000;
+    auto var = [](int i) { return "x" + std::to_string(i); };
+    uml::ModelBuilder b("chain");
+    std::vector<uml::ObjectInstance*> threads;
+    for (int i = 0; i < kThreads; ++i)
+        threads.push_back(&b.thread("T" + std::to_string(i)));
+    uml::SequenceDiagram& sd = b.seq("sd").done();
+    uml::Lifeline& platform = sd.add_lifeline(b.platform());
+    std::vector<uml::Lifeline*> lifelines;
+    for (uml::ObjectInstance* t : threads) lifelines.push_back(&sd.add_lifeline(*t));
+    for (int i = 0; i < kThreads; ++i) {
+        uml::MessageBuilder(sd.add_message(*lifelines[i], platform, "gain"))
+            .arg(var((i + kThreads - 1) % kThreads))
+            .result(var(i));
+        uml::MessageBuilder(
+            sd.add_message(*lifelines[i], *lifelines[(i + 1) % kThreads], "SetX"))
+            .arg(var(i));
+    }
+    uml::Model model = b.take();
+    const core::CommModel comm = core::analyze_communication(model);
+    std::optional<KpnMappingOutput> out;
+    ASSERT_TRUE(test_support::run_with_stack(1u << 20, [&] {
+        out.emplace(map_to_kpn(model, comm));
+    }));
+    ASSERT_TRUE(out.has_value());
+    EXPECT_EQ(out->network.processes().size(), std::size_t{kThreads});
+    EXPECT_EQ(out->network.channels().size(), std::size_t{kThreads});
+    EXPECT_EQ(out->initial_tokens_inserted, 1u);
+    EXPECT_EQ(out->network.channels().back().initial_tokens, 1u);
+    EXPECT_TRUE(out->warnings.empty());
 }
 
 TEST(KpnMapping, EquivalentStructureToCaamChannels) {

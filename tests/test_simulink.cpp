@@ -157,8 +157,11 @@ TEST(SimulinkModel, ConnectivityMatchesLinearScans) {
                                    BlockType::Constant, BlockType::Scope,
                                    BlockType::SFunction, BlockType::UnitDelay};
         for (int step = 0; step < 600; ++step) {
-            std::vector<Block*> blocks = sys.blocks();
-            std::vector<Line*> lines = sys.lines();
+            // Snapshots: the step below mutates the system they view.
+            const auto block_view = sys.blocks();
+            const auto line_view = sys.lines();
+            const std::vector<Block*> blocks(block_view.begin(), block_view.end());
+            const std::vector<Line*> lines(line_view.begin(), line_view.end());
             const std::size_t op = pick(10);
             if (op < 3 || blocks.size() < 2) {  // add_block
                 std::string name = "b" + std::to_string(pick(kNames));
